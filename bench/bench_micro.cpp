@@ -40,6 +40,44 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128);
 
+// The model's real GEMM shapes, as {n, k, m}: the expert's w1/w3 forward
+// [128×48]·[96×48]ᵀ, its w2 forward [128×96]·[48×96]ᵀ, and one attention
+// head's scores [31×24]·[31×24]ᵀ.
+void model_gemm_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({128, 48, 96})->Args({128, 96, 48})->Args({31, 24, 31});
+}
+
+// C[n×m] = A[n×k]·B[m×k]ᵀ: every Linear forward.
+void BM_MatmulNT(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto m = static_cast<std::size_t>(state.range(2));
+  Rng rng(3);
+  Tensor a = ops::randn({n, k}, rng);
+  Tensor b = ops::randn({m, k}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops::matmul_nt(a, b));
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * n * k * m);
+}
+BENCHMARK(BM_MatmulNT)->Apply(model_gemm_shapes);
+
+// dW[m×k] = dY[n×m]ᵀ·X[n×k]: the weight gradient of the same Linear, with
+// the forward's n as the reduction length.
+void BM_MatmulTN(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto m = static_cast<std::size_t>(state.range(2));
+  Rng rng(4);
+  Tensor a = ops::randn({n, m}, rng);
+  Tensor b = ops::randn({n, k}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops::matmul_tn(a, b));
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * n * k * m);
+}
+BENCHMARK(BM_MatmulTN)->Apply(model_gemm_shapes);
+
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(2);
   Tensor logits = ops::randn({512, 64}, rng);

@@ -117,7 +117,7 @@ void DiskTable::reslot(std::size_t new_slot_bytes) {
   // offset is >= its old one and below slot s+1's new offset, so no source
   // region is overwritten before it moves. Slot indices are stable — the
   // pager's disk_slot handles stay valid across a reslot.
-  for (std::uint32_t s = capacity_; s-- > 0;) {
+  for (std::size_t s = capacity_; s-- > 0;) {
     unsigned char* old_base = map_ + kHeaderBytes + s * slot_bytes_;
     unsigned char* new_base = map_ + kHeaderBytes + s * new_slot_bytes;
     std::memmove(new_base, old_base, slot_bytes_);

@@ -1,10 +1,13 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <type_traits>
+#include <utility>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -26,8 +29,10 @@ std::size_t row_grain(std::size_t row_cost, std::size_t target) {
   return std::max<std::size_t>(1, target / std::max<std::size_t>(row_cost, 1));
 }
 
-Tensor elementwise_binary(const Tensor& a, const Tensor& b,
-                          float (*f)(float, float)) {
+// Templates on the callable, so the per-element function inlines into the
+// loop instead of being called through a pointer.
+template <typename F>
+Tensor elementwise_binary(const Tensor& a, const Tensor& b, const F& f) {
   VELA_CHECK_MSG(a.same_shape(b), "elementwise shape mismatch "
                                       << a.shape_string() << " vs "
                                       << b.shape_string());
@@ -40,7 +45,8 @@ Tensor elementwise_binary(const Tensor& a, const Tensor& b,
   return out;
 }
 
-Tensor elementwise_unary(const Tensor& a, float (*f)(float)) {
+template <typename F>
+Tensor elementwise_unary(const Tensor& a, const F& f) {
   Tensor out(a.shape());
   util::ThreadPool::global().parallel_for(
       a.size(), kElemGrain,
@@ -66,6 +72,99 @@ double chunked_reduce(std::size_t n, const PerElement& pe) {
   double total = 0.0;
   for (double p : partial) total += p;
   return total;
+}
+
+// Four float lanes as a GCC/Clang vector extension: plain arithmetic that
+// the compiler lowers to SSE2 on x86-64 and to the target's own SIMD (or
+// scalar code) elsewhere, so there is one kernel and no per-ISA code.
+typedef float f32x4 __attribute__((vector_size(16)));
+
+// Columns [0, kTile * lanes) of one output row of C = A·B, where B is a
+// row-major [k×m] panel and A's row is read as arow[kk * a_step]. The tile's
+// accumulators stay in registers over the whole kk sweep. `Lanes` is f32x4,
+// or a plain float when the whole row is narrower than one vector.
+template <typename Lanes, std::size_t kTile>
+void gemm_tile(const float* arow, std::size_t a_step, const float* b,
+               std::size_t k, std::size_t m, bool skip_zeros, float* c) {
+  static_assert(std::is_trivially_copyable_v<Lanes> &&
+                    sizeof(Lanes) % sizeof(float) == 0,
+                "a tile moves whole floats between memory and registers");
+  constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(float);
+  Lanes acc[kTile] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float aik = arow[kk * a_step];
+    // Exact-zero skip: adding 0*b is the identity for finite b (DESIGN.md
+    // §7), and routing masks make zeros common.
+    // vela-lint: allow(float-equality)
+    if (skip_zeros && aik == 0.0f) continue;
+    const float* brow = b + kk * m;
+#pragma GCC unroll 16
+    for (std::size_t t = 0; t < kTile; ++t) {
+      Lanes bv;
+      std::memcpy(&bv, brow + t * kLanes, sizeof bv);
+      // A rounded product, then a rounded add: never contracted to an FMA.
+      const Lanes prod = aik * bv;
+      acc[t] += prod;
+    }
+  }
+  std::memcpy(c, acc, sizeof acc);
+}
+
+// The widest tile: 12 accumulators, plus the broadcast a(i, kk) and one
+// product, fill 14 of x86-64's 16 SSE registers without spilling.
+constexpr std::size_t kMaxVectors = 12;
+
+template <std::size_t... V>
+constexpr auto make_vector_tiles(std::index_sequence<V...>) {
+  return std::array{&gemm_tile<f32x4, V + 1>...};
+}
+// kVectorTiles[v - 1] is the tile of v vectors.
+constexpr auto kVectorTiles =
+    make_vector_tiles(std::make_index_sequence<kMaxVectors>{});
+
+// One output row: full-width tiles, then one tile of whole vectors that ends
+// at column m. When m is not a multiple of 4 that last tile reaches back over
+// up to 3 columns already written; recomputing a column repeats its exact
+// operations, so they are rewritten with the same bits.
+void gemm_row(const float* arow, std::size_t a_step, const float* b,
+              std::size_t k, std::size_t m, bool skip_zeros, float* crow) {
+  const auto tile = [&](std::size_t j, std::size_t vectors) {
+    kVectorTiles[vectors - 1](arow, a_step, b + j, k, m, skip_zeros, crow + j);
+  };
+  if (m < 4) {
+    for (std::size_t j = 0; j < m; ++j)
+      gemm_tile<float, 1>(arow, a_step, b + j, k, m, skip_zeros, crow + j);
+    return;
+  }
+  std::size_t j = 0;
+  for (; j + 4 * kMaxVectors <= m; j += 4 * kMaxVectors) tile(j, kMaxVectors);
+  if (j == m) return;
+  const std::size_t vectors = (m - j + 3) / 4;
+  if (4 * vectors <= m) {
+    tile(m - 4 * vectors, vectors);
+  } else {  // m < 4 * kMaxVectors and m % 4 != 0: that tile would not fit
+    tile(0, m / 4);
+    tile(m - 4, 1);
+  }
+}
+
+// C[n×m] = A·B with A(i, kk) at pa[i * a_row + kk * a_col] and B a row-major
+// [k×m] panel. Every c[i][j] is one float accumulator, starting at +0, that
+// adds a(i, kk) * b(kk, j) over ascending kk — the order of the scalar ikj
+// loop — whatever tile its column falls in. Output rows are blocked across
+// the pool, so the result is also independent of the lane count.
+Tensor gemm(const float* pa, std::size_t a_row, std::size_t a_col,
+            const float* pb, std::size_t n, std::size_t k, std::size_t m,
+            bool skip_zeros) {
+  Tensor c({n, m});
+  float* pc = c.data();
+  util::ThreadPool::global().parallel_for(
+      n, row_grain(k * m, kMatmulGrainFlops),
+      [&](std::size_t r0, std::size_t r1, std::size_t) {
+        for (std::size_t i = r0; i < r1; ++i)
+          gemm_row(pa + i * a_row, a_col, pb, k, m, skip_zeros, pc + i * m);
+      });
+  return c;
 }
 
 float sigmoid_scalar(float x) { return 1.0f / (1.0f + std::exp(-x)); }
@@ -117,95 +216,38 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   VELA_CHECK_MSG(a.rank() == 2 && b.rank() == 2 && a.cols() == b.rows(),
                  "matmul shape mismatch " << a.shape_string() << " x "
                                           << b.shape_string());
-  const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
-  Tensor c({n, m});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  // Row-blocked across the pool: each chunk owns a contiguous slice of
-  // output rows, so the per-element accumulation order (ikj, streaming over
-  // b rows — cache friendly without tiling) is the serial order exactly.
-  util::ThreadPool::global().parallel_for(
-      n, row_grain(k * m, kMatmulGrainFlops),
-      [&](std::size_t r0, std::size_t r1, std::size_t) {
-        for (std::size_t i = r0; i < r1; ++i) {
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            const float aik = pa[i * k + kk];
-            // Exact-zero skip: adding 0*row is the identity (finite inputs),
-            // and routing masks make zeros common.
-            // vela-lint: allow(float-equality)
-            if (aik == 0.0f) continue;
-            const float* brow = pb + kk * m;
-            float* crow = pc + i * m;
-            for (std::size_t j = 0; j < m; ++j) crow[j] += aik * brow[j];
-          }
-        }
-      });
-  return c;
+  return gemm(a.data(), a.cols(), 1, b.data(), a.rows(), a.cols(), b.cols(),
+              /*skip_zeros=*/true);
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   VELA_CHECK_MSG(a.rank() == 2 && b.rank() == 2 && a.rows() == b.rows(),
                  "matmul_tn shape mismatch " << a.shape_string() << " x "
                                              << b.shape_string());
-  const std::size_t k = a.rows(), n = a.cols(), m = b.cols();
-  Tensor c({n, m});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  // Output rows are blocked across the pool; within a block the kk-outer
-  // order is kept, so every c[i][j] accumulates over kk ascending — the same
-  // order as the serial sweep, hence bit-identical.
-  util::ThreadPool::global().parallel_for(
-      n, row_grain(k * m, kMatmulGrainFlops),
-      [&](std::size_t r0, std::size_t r1, std::size_t) {
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          const float* arow = pa + kk * n;
-          const float* brow = pb + kk * m;
-          for (std::size_t i = r0; i < r1; ++i) {
-            const float aki = arow[i];
-            // Same exact-zero identity as matmul's inner skip.
-            // vela-lint: allow(float-equality)
-            if (aki == 0.0f) continue;
-            float* crow = pc + i * m;
-            for (std::size_t j = 0; j < m; ++j) crow[j] += aki * brow[j];
-          }
-        }
-      });
-  return c;
+  // Row i of aᵀ is column i of a: a stride-n walk down a's rows.
+  return gemm(a.data(), 1, a.cols(), b.data(), a.cols(), a.rows(), b.cols(),
+              /*skip_zeros=*/true);
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   VELA_CHECK_MSG(a.rank() == 2 && b.rank() == 2 && a.cols() == b.cols(),
                  "matmul_nt shape mismatch " << a.shape_string() << " x "
                                              << b.shape_string());
-  const std::size_t n = a.rows(), k = a.cols(), m = b.rows();
-  Tensor c({n, m});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  util::ThreadPool::global().parallel_for(
-      n, row_grain(k * m, kMatmulGrainFlops),
-      [&](std::size_t r0, std::size_t r1, std::size_t) {
-        for (std::size_t i = r0; i < r1; ++i) {
-          const float* arow = pa + i * k;
-          for (std::size_t j = 0; j < m; ++j) {
-            const float* brow = pb + j * k;
-            float acc = 0.0f;
-            for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-            pc[i * m + j] = acc;
-          }
-        }
-      });
-  return c;
+  // The kernel vectorises along rows of its right operand, so bᵀ is packed
+  // into a contiguous [k×m] panel first.
+  const Tensor bt = transpose(b);
+  return gemm(a.data(), a.cols(), 1, bt.data(), a.rows(), a.cols(), b.rows(),
+              /*skip_zeros=*/false);
 }
 
 Tensor transpose(const Tensor& a) {
   VELA_CHECK(a.rank() == 2);
   const std::size_t n = a.rows(), m = a.cols();
   Tensor t({m, n});
+  const float* pa = a.data();
+  float* pt = t.data();
   for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < m; ++j) t.at(j, i) = a.at(i, j);
+    for (std::size_t j = 0; j < m; ++j) pt[j * n + i] = pa[i * m + j];
   return t;
 }
 

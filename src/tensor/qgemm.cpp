@@ -100,8 +100,9 @@ Tensor matmul_nt_q8(const Tensor& x, const qblock::QTensor& w) {
   const std::size_t per_row = qx.row_blocks();
   Tensor y({n, m});
   float* py = y.data();
-  // Same grain policy as ops::matmul_nt (~kMatmulGrainFlops flops per
-  // chunk); per-output-element independence keeps any row partition
+  // Row blocks of ~262144 (2^18) mults per chunk, four times the 2^16 that
+  // ops uses for its fp32 matmuls. The grain sets only the chunking:
+  // per-output-element independence keeps any row partition
   // bit-deterministic.
   const std::size_t grain = std::max<std::size_t>(
       1, 262144 / std::max<std::size_t>(k * m, 1));
