@@ -1,500 +1,68 @@
 #include "comm/remote_transport.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
-#include <cstring>
-#include <deque>
-#include <mutex>
 #include <utility>
 
-#include "util/audit.h"
 #include "util/check.h"
-#include "util/logging.h"
 #include "util/rng.h"
 
 namespace vela::comm {
 
 namespace {
 
-using session::encode_ctrl_record;
-using session::encode_data_record;
-using session::kRecAck;
-using session::kRecData;
-using session::kRecGoodbye;
-using session::kRecHello;
-using session::Record;
-using session::RecordParser;
-using session::write_all;
-using session::write_all_timed;
-
-// Handshake budgets: real-time bounds on a loopback round trip, not
-// protocol time (same rationale as the loopback SocketTransport).
-constexpr int kHandshakeBudgetMs = 2000;
-constexpr int kReplayBudgetMs = 5000;
+// Real-time bound on writing the kIdent record to a fresh connection.
+constexpr int kIdentBudgetMs = 2000;
 
 }  // namespace
 
-class RemoteSocketTransport::Impl {
- public:
-  using Role = RemoteSocketTransport::Role;
-
-  Impl(Role role, const session::PeerIdentity& id, util::Clock* clock,
-       ReconnectPolicy policy, std::uint16_t dial_port, PeerListener* listener)
-      : role_(role),
-        id_(id),
-        clock_(clock != nullptr ? clock : &util::system_clock()),
-        policy_(policy),
-        dial_port_(dial_port),
-        listener_(listener),
-        jitter_rng_(policy.jitter_seed) {}
-
-  // --- establishment --------------------------------------------------------
-
-  void connect_as_dialer() {
-    std::shared_ptr<Conn> conn;
-    for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
-      if (attempt > 1) backoff_sleep(attempt);
-      conn = dial_once();
-      if (conn != nullptr) break;
-    }
-    VELA_CHECK_MSG(conn != nullptr,
-                   "remote transport: could not reach master on port "
-                       << dial_port_ << " after " << policy_.max_attempts
-                       << " attempt(s)");
-    publish(conn);
+RemoteSocketTransport::RemoteSocketTransport(Role role,
+                                             session::ConnectionPtr conn,
+                                             session::ConnectionSource source,
+                                             util::Clock* clock,
+                                             ReconnectPolicy policy) {
+  if (role == Role::kSender) {
+    sender_ = std::make_unique<session::SenderHalf>(
+        std::move(conn), std::move(source), clock, policy);
+  } else {
+    receiver_ = std::make_unique<session::ReceiverHalf>(
+        std::move(conn), std::move(source), clock, policy);
   }
+}
 
-  void adopt_peer(AcceptedPeer peer) {
-    VELA_CHECK_MSG(peer.valid(), "remote transport: adopt of an invalid peer");
-    auto conn = std::make_shared<Conn>();
-    conn->fd = peer.fd;
-    if (!peer.leftover.empty()) {
-      conn->parser.feed(peer.leftover.data(), peer.leftover.size());
-    }
-    if (role_ == Role::kReceiver) {
-      // Receiver offers its hello on (re)connect; on first contact that is
-      // hello(0), which the sender prunes as a no-op.
-      const auto hello = encode_ctrl_record(
-          kRecHello, next_expected_.load(std::memory_order_acquire));
-      std::lock_guard<std::mutex> wl(conn->write_mutex);
-      write_all(conn->fd, hello.data(), hello.size());
-    }
-    publish(conn);
-  }
-
-  // --- Transport API --------------------------------------------------------
-
-  bool send(const std::vector<std::uint8_t>& frame) {
-    VELA_CHECK_MSG(role_ == Role::kSender,
-                   "send() on a receiver-role remote transport");
-    std::lock_guard<std::mutex> op(op_mutex_);
-    if (closed_.load(std::memory_order_acquire)) return false;
-
-    std::shared_ptr<Conn> conn = snapshot();
-    std::vector<std::uint8_t> record;
-    {
-      std::lock_guard<std::mutex> st(state_mutex_);
-      const std::uint64_t seq = next_seq_++;
-      record = encode_data_record(seq, frame);
-      replay_.emplace_back(seq, frame);
-      std::lock_guard<std::mutex> sl(stats_mutex_);
-      ++stats_.frames_sent;
-    }
-    drain_inbound(conn);
-
-    bool wrote = false;
-    {
-      std::lock_guard<std::mutex> wl(conn->write_mutex);
-      wrote = write_all(conn->fd, record.data(), record.size());
-    }
-    if (wrote) return true;
-    // Write failed: the connection is gone. recover() replays everything
-    // unacknowledged — including this frame — so a successful resume means
-    // the frame is on the wire.
-    return recover(conn);
-  }
-
-  // `timeout_ms` < 0 blocks indefinitely, 0 polls.
-  PopStatus receive_within(long timeout_ms, std::vector<std::uint8_t>* out) {
-    VELA_CHECK_MSG(role_ == Role::kReceiver,
-                   "receive() on a sender-role remote transport");
-    std::lock_guard<std::mutex> op(op_mutex_);
-    // Poll deadlines are OS-level waits, the injection point itself.
-    // vela-lint: allow(naked-clock)
-    const auto deadline =
-        timeout_ms < 0
-            ? std::chrono::steady_clock::time_point::max()
-            // vela-lint: allow(naked-clock)
-            : std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(timeout_ms);
-    while (true) {
-      if (closed_.load(std::memory_order_acquire) && !goodbye_received_) {
-        // Locally closed receiver: report end-of-stream.
-        return PopStatus::kClosed;
-      }
-      std::shared_ptr<Conn> conn = snapshot();
-      Record rec;
-      if (conn->parser.next(&rec)) {
-        if (rec.type == kRecData) {
-          const std::uint64_t expected =
-              next_expected_.load(std::memory_order_acquire);
-          if (rec.seq == expected) {
-            next_expected_.store(expected + 1, std::memory_order_release);
-            send_ack(conn, expected + 1);
-            *out = std::move(rec.frame);
-            return PopStatus::kOk;
-          }
-          VELA_CHECK_MSG(rec.seq < expected,
-                         "session resume broke ordering: got seq "
-                             << rec.seq << ", expected " << expected);
-          // Replayed record we already delivered: discard (exactly-once)
-          // and re-ack so the sender prunes its replay buffer.
-          {
-            std::lock_guard<std::mutex> sl(stats_mutex_);
-            ++stats_.duplicates_discarded;
-          }
-          send_ack(conn, expected);
-          continue;
-        }
-        VELA_CHECK_MSG(rec.type == kRecGoodbye,
-                       "unexpected session record on data direction: "
-                           << static_cast<int>(rec.type));
-        goodbye_received_ = true;
-        continue;
-      }
-      if (goodbye_received_) return PopStatus::kClosed;
-      if (dead_.load(std::memory_order_acquire)) return PopStatus::kClosed;
-      if (conn->eof) {
-        // EOF without goodbye: connection lost, not closed — resume.
-        if (!recover(conn)) return PopStatus::kClosed;
-        continue;
-      }
-
-      int wait_ms = -1;
-      if (timeout_ms >= 0) {
-        // vela-lint: allow(naked-clock)
-        const auto remaining = deadline - std::chrono::steady_clock::now();
-        const auto ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
-                .count();
-        if (ms < 0 && timeout_ms != 0) return PopStatus::kTimeout;
-        wait_ms = ms < 0 ? 0 : static_cast<int>(ms);
-      }
-      pollfd pfd{};
-      pfd.fd = conn->fd;
-      pfd.events = POLLIN;
-      const int ready = ::poll(&pfd, 1, wait_ms);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        VELA_CHECK_MSG(false, "poll(): " + std::string(std::strerror(errno)));
-      }
-      if (ready == 0) {
-        if (timeout_ms == 0) return PopStatus::kTimeout;
-        continue;  // re-check the deadline at the loop top
-      }
-      std::uint8_t buf[65536];
-      const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == ECONNRESET || errno == EPIPE) {
-          conn->eof = true;
-          continue;
-        }
-        VELA_CHECK_MSG(false, "recv(): " + std::string(std::strerror(errno)));
-      }
-      if (n == 0) {
-        conn->eof = true;
-        continue;
-      }
-      conn->parser.feed(buf, static_cast<std::size_t>(n));
-    }
-  }
-
-  void close() {
-    if (closed_.exchange(true, std::memory_order_acq_rel)) return;
-    std::shared_ptr<Conn> conn = snapshot();
-    if (conn == nullptr) return;
-    if (role_ == Role::kSender) {
-      // Goodbye after the last complete record, then FIN: close-then-drain
-      // for the remote receiver, exactly the loopback contract.
-      const auto bye = encode_ctrl_record(kRecGoodbye, 0);
-      std::lock_guard<std::mutex> wl(conn->write_mutex);
-      write_all(conn->fd, bye.data(), bye.size());
-      ::shutdown(conn->fd, SHUT_WR);
-    } else {
-      ::shutdown(conn->fd, SHUT_RDWR);
-    }
-  }
-
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
-  SessionStats session_stats() const {
-    std::lock_guard<std::mutex> sl(stats_mutex_);
-    return stats_;
-  }
-
-  const session::PeerIdentity& identity() const { return id_; }
-
-  void sever_for_testing() {
-    std::shared_ptr<Conn> conn = snapshot();
-    if (conn != nullptr) ::shutdown(conn->fd, SHUT_RDWR);
-  }
-
- private:
-  struct Conn {
-    int fd = -1;
-    std::mutex write_mutex;  // serializes writers (data/replay/ack/bye)
-    RecordParser parser;     // inbound stream (data or acks, per role)
-    bool eof = false;
-
-    ~Conn() {
-      if (fd >= 0) ::close(fd);
-    }
-  };
-
-  std::shared_ptr<Conn> snapshot() const {
-    std::lock_guard<std::mutex> lock(conn_ptr_mutex_);
-    return conn_;
-  }
-
-  void publish(const std::shared_ptr<Conn>& conn) {
-    std::lock_guard<std::mutex> lock(conn_ptr_mutex_);
-    conn_ = conn;
-  }
-
-  void backoff_sleep(int attempt) {
-    const auto base = policy_.backoff_base.count();
-    double delay = static_cast<double>(base);
-    for (int k = 2; k < attempt; ++k) delay *= policy_.backoff_multiplier;
-    delay = std::min(delay, static_cast<double>(policy_.backoff_max.count()));
-    std::int64_t jitter = 0;
-    {
-      std::lock_guard<std::mutex> st(state_mutex_);
-      jitter = static_cast<std::int64_t>(
-          jitter_rng_.uniform_index(static_cast<std::uint64_t>(base) + 1));
-    }
-    clock_->sleep_for(
-        std::chrono::milliseconds(static_cast<std::int64_t>(delay) + jitter));
-  }
-
-  // One dial + identify (+ hello for the receiver role). nullptr on failure.
-  std::shared_ptr<Conn> dial_once() {
-    const int fd = session::dial_socket(dial_port_);
-    if (fd < 0) return nullptr;
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
-    const auto ident = session::encode_ident_record(id_);
-    if (!write_all_timed(fd, ident.data(), ident.size(), kHandshakeBudgetMs)) {
-      return nullptr;  // Conn dtor closes fd
-    }
-    if (role_ == Role::kReceiver) {
-      const auto hello = encode_ctrl_record(
-          kRecHello, next_expected_.load(std::memory_order_acquire));
-      if (!write_all_timed(fd, hello.data(), hello.size(),
-                           kHandshakeBudgetMs)) {
-        return nullptr;
-      }
-    }
-    return conn;
-  }
-
-  // Opportunistic drain of the reverse path on the send side: cumulative
-  // acks prune the replay buffer; a hello (the master receiver's initial or
-  // post-resume offer) prunes the same way.
-  void drain_inbound(const std::shared_ptr<Conn>& conn) {
-    while (true) {
-      std::uint8_t buf[4096];
-      const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), MSG_DONTWAIT);
-      if (n <= 0) break;
-      conn->parser.feed(buf, static_cast<std::size_t>(n));
-    }
-    Record rec;
-    while (conn->parser.next(&rec)) {
-      VELA_CHECK_MSG(rec.type == kRecAck || rec.type == kRecHello,
-                     "unexpected session record on ack direction: "
-                         << static_cast<int>(rec.type));
-      std::lock_guard<std::mutex> st(state_mutex_);
-      prune_replay_locked(rec.seq);
-    }
-  }
-
-  void prune_replay_locked(std::uint64_t next_expected) {
-    while (!replay_.empty() && replay_.front().first < next_expected) {
-      replay_.pop_front();
-    }
-  }
-
-  // Receiver-side cumulative ack. Best-effort: a lost ack only delays
-  // pruning (the reconnect hello is the authoritative sync point).
-  void send_ack(const std::shared_ptr<Conn>& conn,
-                std::uint64_t next_expected) {
-    const auto ack = encode_ctrl_record(kRecAck, next_expected);
-    std::lock_guard<std::mutex> wl(conn->write_mutex);
-    write_all(conn->fd, ack.data(), ack.size());
-  }
-
-  // Obtains a fresh identified connection after a loss: the dialer redials
-  // and re-identifies; the acceptor waits for the peer to do so via the
-  // listener's resume mailbox. nullptr if this attempt failed.
-  std::shared_ptr<Conn> reestablish(int attempt) {
-    if (dial_port_ != 0) {
-      if (attempt > 1) backoff_sleep(attempt);
-      return dial_once();
-    }
-    // Acceptor: the per-attempt wait doubles as the backoff (the peer
-    // drives the redial schedule).
-    const auto wait = std::chrono::milliseconds(
-        std::max<std::int64_t>(policy_.backoff_max.count(), 50));
-    AcceptedPeer peer =
-        listener_->take_resume(id_.rank, id_.lane, id_.session_id, wait);
-    if (!peer.valid()) return nullptr;
-    auto conn = std::make_shared<Conn>();
-    conn->fd = peer.fd;
-    if (!peer.leftover.empty()) {
-      conn->parser.feed(peer.leftover.data(), peer.leftover.size());
-    }
-    return conn;
-  }
-
-  // Session resume after a connection loss (DESIGN.md §11/§12): bounded
-  // attempts; receiver offers hello(next_expected), sender waits for the
-  // hello, prunes its replay buffer to it and replays the rest. Returns
-  // false once the budget is exhausted — the session is dead and the
-  // transport reports closed (the layers above turn that into
-  // WorkerFailedError → respawn-or-degrade).
-  bool recover(const std::shared_ptr<Conn>& old_conn) {
-    if (dead_.load(std::memory_order_acquire)) return false;
-    if (goodbye_received_ || closed_.load(std::memory_order_acquire)) {
-      return false;
-    }
-    if (snapshot() != old_conn) return true;  // already resumed
-
-    for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
-      std::shared_ptr<Conn> fresh = reestablish(attempt);
-      if (fresh == nullptr) continue;
-
-      if (role_ == Role::kReceiver) {
-        const auto hello = encode_ctrl_record(
-            kRecHello, next_expected_.load(std::memory_order_acquire));
-        bool sent = false;
-        {
-          std::lock_guard<std::mutex> wl(fresh->write_mutex);
-          sent = write_all_timed(fresh->fd, hello.data(), hello.size(),
-                                 kHandshakeBudgetMs);
-        }
-        if (!sent) continue;
-      } else {
-        // Sender: block for the receiver's hello (stale acks may precede
-        // it), then prune and replay.
-        Record rec;
-        bool got_hello = false;
-        while (session::read_record_blocking(fresh->fd, &fresh->parser, &rec,
-                                             kHandshakeBudgetMs)) {
-          if (rec.type == kRecHello) {
-            got_hello = true;
-            break;
-          }
-          if (rec.type == kRecAck) continue;  // pruned below via hello
-          break;  // anything else is a protocol violation; retry
-        }
-        if (!got_hello) continue;
-        std::lock_guard<std::mutex> st(state_mutex_);
-        prune_replay_locked(rec.seq);
-        bool ok = true;
-        {
-          std::lock_guard<std::mutex> wl(fresh->write_mutex);
-          for (const auto& [seq, frame] : replay_) {
-            const auto record = encode_data_record(seq, frame);
-            if (!write_all_timed(fresh->fd, record.data(), record.size(),
-                                 kReplayBudgetMs)) {
-              ok = false;
-              break;
-            }
-            {
-              std::lock_guard<std::mutex> sl(stats_mutex_);
-              ++stats_.replayed_frames;
-              stats_.replayed_bytes += record.size();
-            }
-            if (audit::enabled()) {
-              audit::ConservationLedger::instance().on_session_replay(
-                  record.size());
-            }
-          }
-        }
-        if (!ok) {
-          ::shutdown(fresh->fd, SHUT_RDWR);
-          continue;
-        }
-      }
-
-      publish(fresh);
-      ::shutdown(old_conn->fd, SHUT_RDWR);
-      {
-        std::lock_guard<std::mutex> sl(stats_mutex_);
-        ++stats_.reconnects;
-      }
-      VELA_LOG_DEBUG("session") << "remote lane rank=" << id_.rank
-                                << " lane=" << static_cast<int>(id_.lane)
-                                << " resumed after " << attempt
-                                << " attempt(s)";
-      return true;
-    }
-
-    dead_.store(true, std::memory_order_release);
-    closed_.store(true, std::memory_order_release);
-    ::shutdown(old_conn->fd, SHUT_RDWR);
-    VELA_LOG_WARN("session") << "remote lane rank=" << id_.rank
-                             << " lane=" << static_cast<int>(id_.lane)
-                             << ": reconnect budget exhausted ("
-                             << policy_.max_attempts
-                             << " attempts); session dead";
-    return false;
-  }
-
-  const Role role_;
-  const session::PeerIdentity id_;
-  util::Clock* clock_;
-  const ReconnectPolicy policy_;
-  const std::uint16_t dial_port_;  // 0 = acceptor side
-  PeerListener* listener_;         // acceptor side only (non-owning)
-
-  std::mutex op_mutex_;  // serializes the public send/receive callers
-
-  // Sender session state. Lock order (never reversed): op_mutex_ →
-  // state_mutex_ → conn_ptr_mutex_/Conn::write_mutex → stats_mutex_.
-  std::mutex state_mutex_;
-  std::deque<std::pair<std::uint64_t, std::vector<std::uint8_t>>> replay_;
-  std::uint64_t next_seq_ = 0;  // guarded by state_mutex_
-  Rng jitter_rng_;              // guarded by state_mutex_
-
-  mutable std::mutex conn_ptr_mutex_;
-  std::shared_ptr<Conn> conn_;  // guarded by conn_ptr_mutex_
-
-  std::atomic<std::uint64_t> next_expected_{0};
-  bool goodbye_received_ = false;  // guarded by op_mutex_
-  std::atomic<bool> closed_{false};
-  std::atomic<bool> dead_{false};
-
-  mutable std::mutex stats_mutex_;
-  SessionStats stats_;  // guarded by stats_mutex_
-};
-
-RemoteSocketTransport::RemoteSocketTransport() = default;
 RemoteSocketTransport::~RemoteSocketTransport() = default;
 
 std::unique_ptr<RemoteSocketTransport> RemoteSocketTransport::dial(
     std::uint16_t port, Role role, const session::PeerIdentity& id,
     util::Clock* clock, ReconnectPolicy policy) {
-  auto t = std::unique_ptr<RemoteSocketTransport>(
-      new RemoteSocketTransport());  // vela-lint: allow(naked-new) -- private ctor
-  t->impl_ = std::make_unique<Impl>(role, id, clock, policy, port, nullptr);
-  t->impl_->connect_as_dialer();
-  return t;
+  session::ConnectionSource redial = [port, id]() -> session::ConnectionPtr {
+    const int fd = session::dial_socket(port);
+    if (fd < 0) return nullptr;
+    auto conn = std::make_shared<session::Connection>(fd);
+    const auto ident = session::encode_ident_record(id);
+    if (!session::write_all_timed(fd, ident.data(), ident.size(),
+                                  kIdentBudgetMs)) {
+      return nullptr;
+    }
+    return conn;
+  };
+  util::Clock* clk = clock != nullptr ? clock : &util::system_clock();
+  Rng jitter(policy.jitter_seed);
+  session::ConnectionPtr conn;
+  for (int attempt = 1; attempt <= policy.max_attempts && conn == nullptr;
+       ++attempt) {
+    if (attempt > 1) {
+      clk->sleep_for(session::backoff_delay(policy, attempt, &jitter));
+    }
+    conn = redial();
+  }
+  VELA_CHECK_MSG(conn != nullptr,
+                 "remote transport: could not reach master on port "
+                     << port << " after " << policy.max_attempts
+                     << " attempt(s)");
+  return std::unique_ptr<RemoteSocketTransport>(
+      // vela-lint: allow(naked-new) -- private ctor
+      new RemoteSocketTransport(role, std::move(conn), std::move(redial),
+                                clock, policy));
 }
 
 std::unique_ptr<RemoteSocketTransport> RemoteSocketTransport::adopt(
@@ -502,50 +70,77 @@ std::unique_ptr<RemoteSocketTransport> RemoteSocketTransport::adopt(
     ReconnectPolicy policy) {
   VELA_CHECK_MSG(listener != nullptr,
                  "remote transport: acceptor side needs a listener");
-  auto t = std::unique_ptr<RemoteSocketTransport>(
-      new RemoteSocketTransport());  // vela-lint: allow(naked-new) -- private ctor
-  t->impl_ =
-      std::make_unique<Impl>(role, peer.id, clock, policy, 0, listener);
-  t->impl_->adopt_peer(std::move(peer));
-  return t;
+  VELA_CHECK_MSG(peer.valid(), "remote transport: adopt of an invalid peer");
+  const session::PeerIdentity id = peer.id;
+  // How long one attempt waits for the peer to redial and re-identify.
+  const auto wait = std::chrono::milliseconds(
+      std::max<std::int64_t>(policy.backoff_max.count(), 50));
+  session::ConnectionSource take_resume =
+      [listener, id, wait]() -> session::ConnectionPtr {
+    AcceptedPeer again =
+        listener->take_resume(id.rank, id.lane, id.session_id, wait);
+    if (!again.valid()) return nullptr;
+    return std::make_shared<session::Connection>(again.fd, again.leftover);
+  };
+  return std::unique_ptr<RemoteSocketTransport>(
+      // vela-lint: allow(naked-new) -- private ctor
+      new RemoteSocketTransport(
+          role, std::make_shared<session::Connection>(peer.fd, peer.leftover),
+          std::move(take_resume), clock, policy));
+}
+
+session::SessionHalf& RemoteSocketTransport::half() const {
+  if (sender_ != nullptr) return *sender_;
+  return *receiver_;
 }
 
 bool RemoteSocketTransport::send(std::vector<std::uint8_t> frame) {
-  return impl_->send(frame);
+  VELA_CHECK_MSG(sender_ != nullptr,
+                 "send() on a receiver-role remote transport");
+  return sender_->send(frame);
+}
+
+session::ReceiverHalf& RemoteSocketTransport::receiver() const {
+  VELA_CHECK_MSG(receiver_ != nullptr,
+                 "receive() on a sender-role remote transport");
+  return *receiver_;
 }
 
 std::optional<std::vector<std::uint8_t>> RemoteSocketTransport::receive() {
   std::vector<std::uint8_t> frame;
-  if (impl_->receive_within(-1, &frame) != PopStatus::kOk) return std::nullopt;
+  if (receiver().receive(-1, &frame) != PopStatus::kOk) return std::nullopt;
   return frame;
 }
 
 std::optional<std::vector<std::uint8_t>> RemoteSocketTransport::try_receive() {
   std::vector<std::uint8_t> frame;
-  if (impl_->receive_within(0, &frame) != PopStatus::kOk) return std::nullopt;
+  if (receiver().receive(0, &frame) != PopStatus::kOk) return std::nullopt;
   return frame;
 }
 
 PopStatus RemoteSocketTransport::receive_for(std::chrono::milliseconds timeout,
                                              std::vector<std::uint8_t>* out) {
   const long ms = static_cast<long>(timeout.count());
-  return impl_->receive_within(ms < 0 ? 0 : ms, out);
+  return receiver().receive(ms < 0 ? 0 : ms, out);
 }
 
-void RemoteSocketTransport::close() { impl_->close(); }
+void RemoteSocketTransport::close() {
+  if (sender_ != nullptr) {
+    sender_->close();
+  } else {
+    receiver_->close();
+  }
+}
 
-bool RemoteSocketTransport::closed() const { return impl_->closed(); }
+bool RemoteSocketTransport::closed() const { return half().closed(); }
+
+void RemoteSocketTransport::set_connection_script(
+    const ConnectionScript* script) {
+  if (sender_ != nullptr) sender_->set_connection_script(script);
+}
 
 SessionStats RemoteSocketTransport::session_stats() const {
-  return impl_->session_stats();
-}
-
-const session::PeerIdentity& RemoteSocketTransport::identity() const {
-  return impl_->identity();
-}
-
-void RemoteSocketTransport::sever_for_testing() {
-  impl_->sever_for_testing();
+  return half().stats();
 }
 
 }  // namespace vela::comm

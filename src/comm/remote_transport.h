@@ -1,31 +1,25 @@
 // Cross-process socket transport of the comm fabric (DESIGN.md §12).
 //
-// RemoteSocketTransport is the remote-process split of SocketTransport: ONE
-// direction of a master↔worker DuplexLink carried over its own TCP
-// connection whose two ends live in different OS processes. Each side plays
-// one role:
+// RemoteSocketTransport is ONE direction of a master↔worker DuplexLink whose
+// two ends live in different OS processes: a single session half
+// (comm/session.h) plus the connection source that half resumes from.
 //
-//   * kSender   — owns the sequence counter and the replay buffer, wraps
-//     frames in kData session records, drains cumulative acks (and hello
-//     prunes) arriving on the reverse path of the same connection, and
-//     closes with goodbye-then-FIN;
-//   * kReceiver — delivers frames strictly in sequence order, discards
-//     replayed duplicates, acks cumulatively, and distinguishes goodbye
-//     (graceful close) from bare EOF (connection loss → session resume).
+//   * kSender   — a session::SenderHalf: sequence numbers, replay buffer,
+//     acks, goodbye-then-FIN, and the ConnectionScript faults the Endpoint
+//     forwards from the FaultInjector.
+//   * kReceiver — a session::ReceiverHalf: in-order delivery, dedupe, acks,
+//     hello on every connection, goodbye (closed) vs bare EOF (resume).
 //
-// The session codec, replay/ack/hello resume protocol and its accounting
-// are byte-for-byte the loopback SocketTransport's (comm/session.h is
-// shared), so everything the equivalence gates pin — exactly-once delivery,
-// replay charged to on_session_replay, goodbye semantics — holds across
-// process boundaries too.
+// The halves are the loopback SocketTransport's, so everything the
+// equivalence gates pin — exactly-once delivery, replay charged to
+// on_session_replay, goodbye semantics — holds across process boundaries.
 //
-// Connection lifecycle: the worker process is always the dialer (it
-// connects to the master's PeerListener port and opens with a kIdent
-// record; on loss it redials and re-identifies with the same session id).
-// The master side adopts connections from the PeerListener and, on loss,
-// waits for the peer to re-identify (take_resume). Both sides then run the
-// ordinary kHello handshake, which is what "identity layered under the
-// session-resume records" means.
+// Sources: the worker process is always the dialer — it connects to the
+// master's PeerListener port and opens with a kIdent record, and after a
+// loss it redials and re-identifies with the same session id. The master
+// adopts connections from the PeerListener and, after a loss, takes the
+// re-identified one from PeerListener::take_resume. The kHello handshake
+// then runs as on any socket lane.
 #pragma once
 
 #include <memory>
@@ -40,11 +34,10 @@ class RemoteSocketTransport final : public Transport {
  public:
   enum class Role : std::uint8_t { kSender, kReceiver };
 
-  // Dialer side (worker process): connects to 127.0.0.1:`port`, announces
-  // `id`, and — in the receiver role — immediately offers its hello. The
-  // initial connect is retried on `policy`'s backoff schedule; failure to
-  // reach the master at all fails a VELA_CHECK (a worker without a master
-  // cannot run).
+  // Dialer side (worker process): connects to 127.0.0.1:`port` and
+  // announces `id`; the receiver role then offers its hello. The initial
+  // connect is retried on `policy`'s backoff schedule; failure to reach the
+  // master at all fails a VELA_CHECK (a worker without a master cannot run).
   [[nodiscard]] static std::unique_ptr<RemoteSocketTransport> dial(
       std::uint16_t port, Role role, const session::PeerIdentity& id,
       util::Clock* clock = nullptr, ReconnectPolicy policy = {});
@@ -69,19 +62,19 @@ class RemoteSocketTransport final : public Transport {
   void close() override;
   [[nodiscard]] bool closed() const override;
   [[nodiscard]] const char* name() const override { return "socket"; }
+  void set_connection_script(const ConnectionScript* script) override;
 
   [[nodiscard]] SessionStats session_stats() const;
-  [[nodiscard]] const session::PeerIdentity& identity() const;
-
-  // Cuts the live connection at the socket level (no goodbye), exactly what
-  // a killed peer or a yanked cable looks like — the reconnect tests drive
-  // the resume path through this.
-  void sever_for_testing();
 
  private:
-  RemoteSocketTransport();
-  class Impl;
-  std::unique_ptr<Impl> impl_;
+  RemoteSocketTransport(Role role, session::ConnectionPtr conn,
+                        session::ConnectionSource source, util::Clock* clock,
+                        ReconnectPolicy policy);
+  session::SessionHalf& half() const;
+  session::ReceiverHalf& receiver() const;
+
+  std::unique_ptr<session::SenderHalf> sender_;      // kSender only
+  std::unique_ptr<session::ReceiverHalf> receiver_;  // kReceiver only
 };
 
 }  // namespace vela::comm

@@ -6,13 +6,23 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
 #include "comm/frame.h"
+#include "util/audit.h"
 #include "util/check.h"
+#include "util/logging.h"
 
 namespace vela::comm::session {
+
+namespace {
+
+// Handshake and replay budgets: real-time bounds on a loopback round trip,
+// not protocol time.
+constexpr int kHandshakeBudgetMs = 2000;
+constexpr int kReplayBudgetMs = 5000;
 
 void put_u32(std::vector<std::uint8_t>* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -37,6 +47,8 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
   return v;
 }
+
+}  // namespace
 
 void RecordParser::feed(const std::uint8_t* data, std::size_t size) {
   buffer_.insert(buffer_.end(), data, data + size);
@@ -309,6 +321,359 @@ int dial_socket(std::uint16_t port) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
+}
+
+// --- session halves -------------------------------------------------------------
+
+Connection::Connection(int fd_in, const std::vector<std::uint8_t>& leftover)
+    : fd(fd_in) {
+  if (!leftover.empty()) parser.feed(leftover.data(), leftover.size());
+}
+
+Connection::~Connection() { ::close(fd); }
+
+void Connection::cut() const { ::shutdown(fd, SHUT_RDWR); }
+
+std::chrono::milliseconds backoff_delay(const ReconnectPolicy& policy,
+                                        int attempt, Rng* jitter) {
+  const auto base = policy.backoff_base.count();
+  double delay = static_cast<double>(base);
+  for (int k = 2; k < attempt; ++k) delay *= policy.backoff_multiplier;
+  delay = std::min(delay, static_cast<double>(policy.backoff_max.count()));
+  const auto extra = static_cast<std::int64_t>(
+      jitter->uniform_index(static_cast<std::uint64_t>(base) + 1));
+  return std::chrono::milliseconds(static_cast<std::int64_t>(delay) + extra);
+}
+
+SessionHalf::SessionHalf(ConnectionSource source, util::Clock* clock,
+                         ReconnectPolicy policy)
+    : source_(std::move(source)),
+      clock_(clock != nullptr ? clock : &util::system_clock()),
+      policy_(policy),
+      jitter_(policy.jitter_seed) {}
+
+SessionStats SessionHalf::stats() const {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  return stats_;
+}
+
+void SessionHalf::count(std::uint64_t SessionStats::*field, std::uint64_t n) {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.*field += n;
+}
+
+bool SessionHalf::reconnect(const std::function<bool()>& attempt) {
+  for (int k = 1; k <= policy_.max_attempts; ++k) {
+    if (k > 1) clock_->sleep_for(backoff_delay(policy_, k, &jitter_));
+    if (attempt()) {
+      count(&SessionStats::reconnects);
+      VELA_LOG_DEBUG("session") << "resumed after " << k << " attempt(s)";
+      return true;
+    }
+  }
+  dead_.store(true, std::memory_order_release);
+  closed_.store(true, std::memory_order_release);
+  VELA_LOG_WARN("session") << "reconnect budget exhausted ("
+                           << policy_.max_attempts
+                           << " attempts); session dead";
+  return false;
+}
+
+// --- sender ---------------------------------------------------------------------
+
+SenderHalf::SenderHalf(ConnectionPtr conn, ConnectionSource source,
+                       util::Clock* clock, ReconnectPolicy policy,
+                       std::function<void()> on_dead)
+    : SessionHalf(std::move(source), clock, policy),
+      conn_(std::move(conn)),
+      on_dead_(std::move(on_dead)) {}
+
+bool SenderHalf::send(const std::vector<std::uint8_t>& frame) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (closed()) return false;
+  drain_acks();
+  const std::uint64_t seq = next_seq_++;
+  replay_.emplace_back(seq, encode_data_record(seq, frame));
+  const std::vector<std::uint8_t>& record = replay_.back().second;
+  count(&SessionStats::frames_sent);
+
+  if (const ConnectionScript::Sever* sever = take_sever(seq)) {
+    // Scripted cut: exactly byte_offset bytes of the record reach the wire,
+    // then the connection dies. The record stays in the replay buffer.
+    const std::size_t cut = std::min(sever->byte_offset, record.size());
+    if (cut > 0) write_all(conn_->fd, record.data(), cut);
+    conn_->cut();
+    count(&SessionStats::severs_injected);
+  } else if (write_all(conn_->fd, record.data(), record.size())) {
+    return true;
+  }
+  // The connection is gone. A resume replays everything unacknowledged,
+  // this frame included, so success means the frame is on the wire.
+  return resume();
+}
+
+void SenderHalf::close() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (closed_.exchange(true, std::memory_order_acq_rel)) return;
+  // The receiver drains what is buffered, sees the goodbye and reports
+  // closed; an EOF without goodbye is a loss and resumes instead.
+  const auto bye = encode_ctrl_record(kRecGoodbye, 0);
+  write_all(conn_->fd, bye.data(), bye.size());
+  ::shutdown(conn_->fd, SHUT_WR);
+}
+
+void SenderHalf::set_connection_script(const ConnectionScript* script) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  script_ = script;
+  sever_fired_.assign(script != nullptr ? script->severs.size() : 0, false);
+  refused_ = 0;
+}
+
+// Opportunistic, non-blocking: cumulative acks and hellos prune the replay
+// buffer.
+void SenderHalf::drain_acks() {
+  std::uint8_t buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(conn_->fd, buf, sizeof(buf), MSG_DONTWAIT)) > 0) {
+    conn_->parser.feed(buf, static_cast<std::size_t>(n));
+  }
+  Record rec;
+  while (conn_->parser.next(&rec)) {
+    VELA_CHECK_MSG(rec.type == kRecAck || rec.type == kRecHello,
+                   "unexpected session record on ack direction: "
+                       << static_cast<int>(rec.type));
+    prune_replay(rec.seq);
+  }
+}
+
+void SenderHalf::prune_replay(std::uint64_t next_expected) {
+  while (!replay_.empty() && replay_.front().first < next_expected) {
+    replay_.pop_front();
+  }
+}
+
+const ConnectionScript::Sever* SenderHalf::take_sever(std::uint64_t seq) {
+  if (script_ == nullptr) return nullptr;
+  for (std::size_t i = 0; i < script_->severs.size(); ++i) {
+    if (!sever_fired_[i] && script_->severs[i].frame_index == seq) {
+      sever_fired_[i] = true;
+      return &script_->severs[i];
+    }
+  }
+  return nullptr;
+}
+
+bool SenderHalf::resume() {
+  const bool resumed = reconnect([this] {
+    if (script_ != nullptr && refused_ < script_->refuse_reconnects) {
+      ++refused_;
+      count(&SessionStats::refused_connects);
+      return false;
+    }
+    if (script_ != nullptr && script_->accept_delay.count() > 0) {
+      clock_->sleep_for(script_->accept_delay);
+    }
+    ConnectionPtr fresh = source_();
+    if (fresh == nullptr || !replay_onto(*fresh)) return false;
+    conn_->cut();
+    conn_ = std::move(fresh);
+    return true;
+  });
+  if (!resumed) {
+    conn_->cut();
+    if (on_dead_) on_dead_();
+  }
+  return resumed;
+}
+
+// The hello handshake, sending side: wait for the receiver's hello (stale
+// acks may precede it), prune to it, replay the rest.
+bool SenderHalf::replay_onto(Connection& fresh) {
+  Record rec;
+  do {
+    if (!read_record_blocking(fresh.fd, &fresh.parser, &rec,
+                              kHandshakeBudgetMs)) {
+      return false;
+    }
+  } while (rec.type == kRecAck);
+  if (rec.type != kRecHello) return false;
+  prune_replay(rec.seq);
+  for (const auto& entry : replay_) {
+    const std::vector<std::uint8_t>& record = entry.second;
+    // A wedged fresh connection fails the attempt; the next hello re-syncs.
+    if (!write_all_timed(fresh.fd, record.data(), record.size(),
+                         kReplayBudgetMs)) {
+      return false;
+    }
+    count(&SessionStats::replayed_frames);
+    count(&SessionStats::replayed_bytes, record.size());
+    if (audit::enabled()) {
+      audit::ConservationLedger::instance().on_session_replay(record.size());
+    }
+  }
+  return true;
+}
+
+// --- receiver -------------------------------------------------------------------
+
+ReceiverHalf::ReceiverHalf(ConnectionPtr conn, ConnectionSource source,
+                           util::Clock* clock, ReconnectPolicy policy)
+    : SessionHalf(std::move(source), clock, policy) {
+  // Best effort: a connection that is already dead shows up as EOF on the
+  // first receive and resumes.
+  const auto hello = encode_ctrl_record(kRecHello, 0);
+  write_all(conn->fd, hello.data(), hello.size());
+  publish(std::move(conn));
+}
+
+ConnectionPtr ReceiverHalf::snapshot() const {
+  std::lock_guard<std::mutex> lock(conn_mutex_);
+  return conn_;
+}
+
+void ReceiverHalf::publish(ConnectionPtr conn) {
+  ConnectionPtr old;
+  {
+    std::lock_guard<std::mutex> lock(conn_mutex_);
+    old = std::exchange(conn_, std::move(conn));
+  }
+  conn_cv_.notify_all();
+  // Wakes a receive still polling the lost connection.
+  if (old != nullptr) old->cut();
+}
+
+// The hello handshake, receiving side. A stale next_expected (a delivery
+// racing this call) only makes the replay overlap, which dedupe absorbs.
+bool ReceiverHalf::adopt(ConnectionPtr fresh) {
+  const auto hello = encode_ctrl_record(
+      kRecHello, next_expected_.load(std::memory_order_acquire));
+  if (!write_all_timed(fresh->fd, hello.data(), hello.size(),
+                       kHandshakeBudgetMs)) {
+    return false;
+  }
+  publish(std::move(fresh));
+  return true;
+}
+
+void ReceiverHalf::close() {
+  if (closed_.exchange(true, std::memory_order_acq_rel)) return;
+  snapshot()->cut();
+}
+
+void ReceiverHalf::kill() {
+  {
+    std::lock_guard<std::mutex> lock(conn_mutex_);
+    dead_.store(true, std::memory_order_release);
+  }
+  conn_cv_.notify_all();
+}
+
+// Best effort: a lost ack only delays pruning (the hello is authoritative).
+void ReceiverHalf::ack(const Connection& conn, std::uint64_t next_expected) {
+  const auto rec = encode_ctrl_record(kRecAck, next_expected);
+  write_all(conn.fd, rec.data(), rec.size());
+}
+
+bool ReceiverHalf::resume(const ConnectionPtr& lost) {
+  if (!source_) {
+    std::unique_lock<std::mutex> lock(conn_mutex_);
+    conn_cv_.wait(lock, [&] {
+      return conn_ != lost || dead_.load(std::memory_order_acquire);
+    });
+    return !dead_.load(std::memory_order_acquire);
+  }
+  return reconnect([&] {
+    if (snapshot() != lost) return true;  // handed over meanwhile
+    ConnectionPtr fresh = source_();
+    return fresh != nullptr && adopt(std::move(fresh));
+  });
+}
+
+PopStatus ReceiverHalf::receive(long timeout_ms,
+                                std::vector<std::uint8_t>* out) {
+  std::lock_guard<std::mutex> op(op_mutex_);
+  // Poll deadlines are OS-level waits, the injection point itself.
+  // vela-lint: allow(naked-clock)
+  const auto deadline =
+      timeout_ms < 0
+          ? std::chrono::steady_clock::time_point::max()
+          // vela-lint: allow(naked-clock)
+          : std::chrono::steady_clock::now() +
+                std::chrono::milliseconds(timeout_ms);
+  while (true) {
+    if (closed() && !goodbye_received_) return PopStatus::kClosed;
+    const ConnectionPtr conn = snapshot();
+    Record rec;
+    if (conn->parser.next(&rec)) {
+      if (rec.type == kRecGoodbye) {
+        goodbye_received_ = true;
+        continue;
+      }
+      VELA_CHECK_MSG(rec.type == kRecData,
+                     "unexpected session record on data direction: "
+                         << static_cast<int>(rec.type));
+      const std::uint64_t expected =
+          next_expected_.load(std::memory_order_acquire);
+      if (rec.seq == expected) {
+        next_expected_.store(expected + 1, std::memory_order_release);
+        ack(*conn, expected + 1);
+        *out = std::move(rec.frame);
+        return PopStatus::kOk;
+      }
+      VELA_CHECK_MSG(rec.seq < expected,
+                     "session resume broke ordering: got seq "
+                         << rec.seq << ", expected " << expected);
+      // A replayed record already delivered: discard (exactly-once) and
+      // re-ack so the sender prunes.
+      count(&SessionStats::duplicates_discarded);
+      ack(*conn, expected);
+      continue;
+    }
+    if (goodbye_received_ || dead_.load(std::memory_order_acquire)) {
+      return PopStatus::kClosed;
+    }
+    if (conn->eof) {
+      // EOF without goodbye: the connection was lost, not closed.
+      if (!resume(conn)) return PopStatus::kClosed;
+      continue;
+    }
+
+    int wait_ms = -1;
+    if (timeout_ms >= 0) {
+      // vela-lint: allow(naked-clock)
+      const auto remaining = deadline - std::chrono::steady_clock::now();
+      const auto ms =
+          std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
+              .count();
+      if (ms < 0 && timeout_ms != 0) return PopStatus::kTimeout;
+      wait_ms = ms < 0 ? 0 : static_cast<int>(ms);
+    }
+    pollfd pfd{};
+    pfd.fd = conn->fd;
+    pfd.events = POLLIN;
+    const int ready = ::poll(&pfd, 1, wait_ms);
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      VELA_CHECK_MSG(false, "poll(): " + std::string(std::strerror(errno)));
+    }
+    if (ready == 0) {
+      if (timeout_ms == 0) return PopStatus::kTimeout;
+      continue;  // re-check the deadline at the loop top
+    }
+    std::uint8_t buf[65536];
+    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno != ECONNRESET && errno != EPIPE) {
+        VELA_CHECK_MSG(false, "recv(): " + std::string(std::strerror(errno)));
+      }
+    }
+    if (n <= 0) {
+      conn->eof = true;
+      continue;
+    }
+    conn->parser.feed(buf, static_cast<std::size_t>(n));
+  }
 }
 
 }  // namespace vela::comm::session

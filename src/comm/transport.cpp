@@ -1,28 +1,14 @@
 #include "comm/transport.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 
-#include "comm/frame.h"
 #include "comm/session.h"
-#include "util/audit.h"
 #include "util/check.h"
-#include "util/logging.h"
-#include "util/rng.h"
 
 namespace vela::comm {
 
@@ -101,573 +87,94 @@ void InProcTransport::set_connection_script(const ConnectionScript* script) {
   sever_fired_.assign(script != nullptr ? script->severs.size() : 0, false);
 }
 
-// --- SocketTransport: session records ---------------------------------------
-//
-// The socket backend wraps every frame in a session record so a severed
-// connection can resume without frame loss (DESIGN.md §11). Stream layout
-// (little-endian), data direction tx_fd → rx_fd:
-//
-//   kData    := u8 1 | u64 seq | u32 frame_len | frame[frame_len]
-//
-// and on the reverse direction of the same TCP connection (rx_fd → tx_fd):
-//
-//   kAck     := u8 2 | u64 next_expected_seq
-//   kHello   := u8 3 | u64 next_expected_seq     (reconnect handshake)
-//   kGoodbye := u8 4                              (graceful close, tx → rx)
-//
-// The sender keeps every data record in a replay buffer until an ack (or
-// reconnect hello) covers its sequence number; the receiver delivers frames
-// strictly in sequence order and discards duplicates, so a replayed record
-// is observed at most once above the transport — which is why all byte
-// accounting stays at Message::wire_size() and replays only surface in the
-// informational session counters.
-//
-// The record codec itself lives in comm/session.h, shared with the
-// multi-process RemoteSocketTransport so the two backends cannot drift.
+// --- SocketTransport ----------------------------------------------------------
 
-namespace {
-
-using session::encode_ctrl_record;
-using session::encode_data_record;
-using session::kRecAck;
-using session::kRecData;
-using session::kRecGoodbye;
-using session::kRecHello;
-using session::Record;
-using session::RecordParser;
-using session::write_all;
-using session::write_all_timed;
-
-}  // namespace
-
-// --- SocketTransport --------------------------------------------------------
-
-class SocketTransport::Impl {
- public:
-  Impl(util::Clock* clock, ReconnectPolicy policy)
-      : clock_(clock != nullptr ? clock : &util::system_clock()),
-        policy_(policy),
-        jitter_rng_(policy.jitter_seed) {
-    // Blocking handshake on an ephemeral loopback port: listen, connect,
-    // accept. The connect completes against the listen backlog, so a single
-    // thread can run all three steps in order. The listener is RETAINED so
-    // session resume can re-establish the connection after a sever.
-    listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    VELA_CHECK_MSG(listener_ >= 0,
-                   "socket(): " + std::string(std::strerror(errno)));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    VELA_CHECK_MSG(
-        ::bind(listener_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) == 0,
-        "bind(127.0.0.1:0): " + std::string(std::strerror(errno)));
-    VELA_CHECK_MSG(::listen(listener_, 1) == 0,
-                   "listen(): " + std::string(std::strerror(errno)));
-    socklen_t len = sizeof(addr_);
-    VELA_CHECK(::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr_),
-                             &len) == 0);
-    conn_ = connect_pair();
-    VELA_CHECK_MSG(conn_ != nullptr, "socket transport: initial connect failed");
-  }
-
-  ~Impl() {
-    if (listener_ >= 0) ::close(listener_);
-    // conn_ fds close with the last shared_ptr reference.
-  }
-
-  bool send(const std::vector<std::uint8_t>& frame) {
-    // tx_mutex_ keeps concurrent senders' records intact on the stream (the
-    // EP inboxes are many-writer) and orders close() after any in-progress
-    // write, so a record is never torn by a graceful shutdown.
-    std::lock_guard<std::mutex> tx(tx_mutex_);
-    if (closed_.load(std::memory_order_acquire)) return false;
-
-    std::shared_ptr<Conn> conn;
-    std::vector<std::uint8_t> record;
-    const ConnectionScript::Sever* sever = nullptr;
-    {
-      std::lock_guard<std::mutex> st(state_mutex_);
-      const std::uint64_t seq = next_seq_++;
-      record = encode_data_record(seq, frame);
-      replay_.emplace_back(seq, frame);
-      sever = pending_sever_locked(seq);
-      {
-        std::lock_guard<std::mutex> sl(stats_mutex_);
-        ++stats_.frames_sent;
-      }
+SocketTransport::SocketTransport(util::Clock* clock, ReconnectPolicy policy) {
+  listen_fd_ = session::make_listen_socket(/*port=*/0, &port_, /*backlog=*/1,
+                                           /*bind_attempts=*/1, {}, clock);
+  // Connect, then accept off the backlog: one thread runs both steps.
+  const auto connect_pair = [this] {
+    std::pair<session::ConnectionPtr, session::ConnectionPtr> ends;
+    const int dialed = session::dial_socket(port_);
+    if (dialed < 0) return ends;
+    ends.first = std::make_shared<session::Connection>(dialed);
+    const int accepted = ::accept(listen_fd_, nullptr, nullptr);
+    if (accepted >= 0) {
+      ends.second = std::make_shared<session::Connection>(accepted);
     }
-    conn = snapshot();
-    drain_acks(conn);
-
-    bool wrote = false;
-    if (sever != nullptr) {
-      // Scripted cut: put exactly byte_offset bytes of the record on the
-      // wire, then kill the connection. The frame stays in the replay
-      // buffer, so resume must deliver it exactly once.
-      const std::size_t cut = std::min(sever->byte_offset, record.size());
-      {
-        std::lock_guard<std::mutex> wl(conn->write_mutex);
-        if (cut > 0) write_all(conn->tx_fd, record.data(), cut);
-        ::shutdown(conn->tx_fd, SHUT_RDWR);
-      }
-      std::lock_guard<std::mutex> sl(stats_mutex_);
-      ++stats_.severs_injected;
-    } else {
-      std::lock_guard<std::mutex> wl(conn->write_mutex);
-      wrote = write_all(conn->tx_fd, record.data(), record.size());
-    }
-    if (wrote) return true;
-
-    // The write failed (or the script cut the stream): resume the session.
-    // recover() replays everything unacknowledged — including this frame —
-    // so a successful resume means the frame is on the wire.
-    std::unique_lock<std::mutex> st(state_mutex_);
-    return recover_locked(conn, st);
-  }
-
-  // Timed/blocking/non-blocking receive share one loop; `timeout_ms` < 0
-  // blocks indefinitely, 0 polls.
-  PopStatus receive_within(long timeout_ms, std::vector<std::uint8_t>* out) {
-    std::lock_guard<std::mutex> rx(rx_mutex_);
-    // The poll deadline below is the OS-level wait budget — the injection
-    // point itself; virtual-time conversion happens one layer up
-    // (util::Clock::wait_slice in the retry loops).
-    // vela-lint: allow(naked-clock)
-    const auto deadline =
-        timeout_ms < 0
-            ? std::chrono::steady_clock::time_point::max()
-            // vela-lint: allow(naked-clock)
-            : std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(timeout_ms);
-    while (true) {
-      std::shared_ptr<Conn> conn = snapshot();
-      Record rec;
-      if (conn->rx_parser.next(&rec)) {
-        if (rec.type == kRecData) {
-          const std::uint64_t expected =
-              next_expected_.load(std::memory_order_acquire);
-          if (rec.seq == expected) {
-            next_expected_.store(expected + 1, std::memory_order_release);
-            send_ack(conn, expected + 1);
-            *out = std::move(rec.frame);
-            return PopStatus::kOk;
-          }
-          VELA_CHECK_MSG(rec.seq < expected,
-                         "session resume broke ordering: got seq "
-                             << rec.seq << ", expected " << expected);
-          // A replayed record we already delivered: discard (this is the
-          // exactly-once half of the resume contract) and re-ack so the
-          // sender prunes its replay buffer.
-          {
-            std::lock_guard<std::mutex> sl(stats_mutex_);
-            ++stats_.duplicates_discarded;
-          }
-          send_ack(conn, expected);
-          continue;
-        }
-        VELA_CHECK_MSG(rec.type == kRecGoodbye,
-                       "unexpected session record on data direction: "
-                           << static_cast<int>(rec.type));
-        goodbye_received_ = true;
-        continue;
-      }
-      // Parser empty: closed-and-drained, or wait for more bytes.
-      if (goodbye_received_) return PopStatus::kClosed;
-      if (dead_.load(std::memory_order_acquire)) return PopStatus::kClosed;
-      if (conn->rx_eof) {
-        // EOF without a goodbye: the connection was lost, not closed.
-        std::unique_lock<std::mutex> st(state_mutex_, std::try_to_lock);
-        if (st.owns_lock()) {
-          if (!recover_locked(conn, st)) return PopStatus::kClosed;
-        } else {
-          // Another thread is already resuming; yield so it can publish the
-          // fresh connection (we then drain its replay). Real yield on
-          // purpose — this is inter-thread scheduling, not protocol time.
-          // vela-lint: allow(naked-clock)
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-        continue;
-      }
-
-      int wait_ms = -1;
-      if (timeout_ms >= 0) {
-        // vela-lint: allow(naked-clock)
-        const auto remaining = deadline - std::chrono::steady_clock::now();
-        const auto ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
-                .count();
-        if (ms < 0 && timeout_ms != 0) return PopStatus::kTimeout;
-        wait_ms = ms < 0 ? 0 : static_cast<int>(ms);
-      }
-      pollfd pfd{};
-      pfd.fd = conn->rx_fd;
-      pfd.events = POLLIN;
-      const int ready = ::poll(&pfd, 1, wait_ms);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        VELA_CHECK_MSG(false, "poll(): " + std::string(std::strerror(errno)));
-      }
-      if (ready == 0) {
-        if (timeout_ms == 0) return PopStatus::kTimeout;
-        continue;  // re-check the deadline at the loop top
-      }
-
-      std::uint8_t buf[65536];
-      const ssize_t n = ::recv(conn->rx_fd, buf, sizeof(buf), 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == ECONNRESET || errno == EPIPE) {
-          conn->rx_eof = true;
-          continue;
-        }
-        VELA_CHECK_MSG(false, "recv(): " + std::string(std::strerror(errno)));
-      }
-      if (n == 0) {
-        conn->rx_eof = true;
-        continue;
-      }
-      conn->rx_parser.feed(buf, static_cast<std::size_t>(n));
-    }
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> tx(tx_mutex_);
-    if (closed_.exchange(true, std::memory_order_acq_rel)) return;
-    std::shared_ptr<Conn> conn = snapshot();
-    // Goodbye after the last complete record, then FIN: the receiver drains
-    // buffered records, sees the goodbye, and reports closed — the
-    // BlockingQueue close-then-drain contract. An EOF *without* goodbye is
-    // a connection loss and triggers resume instead.
-    const auto bye = encode_ctrl_record(kRecGoodbye, 0);
-    std::lock_guard<std::mutex> wl(conn->write_mutex);
-    write_all(conn->tx_fd, bye.data(), bye.size());
-    ::shutdown(conn->tx_fd, SHUT_WR);
-  }
-
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
-  void set_connection_script(const ConnectionScript* script) {
-    std::lock_guard<std::mutex> st(state_mutex_);
-    script_ = script;
-    sever_fired_.assign(script != nullptr ? script->severs.size() : 0, false);
-    refused_so_far_ = 0;
-  }
-
-  SessionStats session_stats() const {
-    std::lock_guard<std::mutex> sl(stats_mutex_);
-    return stats_;
-  }
-
- private:
-  struct Conn {
-    int tx_fd = -1;
-    int rx_fd = -1;
-    std::mutex write_mutex;  // serializes writers to tx_fd (data/replay/bye)
-    RecordParser rx_parser;  // receiver side; guarded by rx_mutex_
-    RecordParser ack_parser;  // sender side (acks + hello); guarded by
-                              // tx_mutex_, or state_mutex_ pre-publish
-    bool rx_eof = false;      // guarded by rx_mutex_
-
-    ~Conn() {
-      if (tx_fd >= 0) ::close(tx_fd);
-      if (rx_fd >= 0) ::close(rx_fd);
-    }
+    return ends;
   };
+  auto [tx, rx] = connect_pair();
+  VELA_CHECK_MSG(rx != nullptr, "socket transport: initial connect failed");
+  receiver_ = std::make_unique<session::ReceiverHalf>(std::move(rx), nullptr,
+                                                      clock, policy);
+  sender_ = std::make_unique<session::SenderHalf>(
+      std::move(tx),
+      [this, connect_pair]() -> session::ConnectionPtr {
+        auto [fresh_tx, fresh_rx] = connect_pair();
+        const bool handed_over =
+            fresh_rx != nullptr && receiver_->adopt(std::move(fresh_rx));
+        return handed_over ? fresh_tx : nullptr;
+      },
+      clock, policy, [this] { receiver_->kill(); });
+}
 
-  std::shared_ptr<Conn> snapshot() const {
-    std::lock_guard<std::mutex> lock(conn_ptr_mutex_);
-    return conn_;
-  }
-
-  // Establishes a fresh connection through the retained listener. Returns
-  // nullptr for a scripted refusal. Caller holds state_mutex_ (or is the
-  // constructor).
-  std::shared_ptr<Conn> connect_pair(bool resume = false) {
-    if (resume && script_ != nullptr &&
-        refused_so_far_ < script_->refuse_reconnects) {
-      ++refused_so_far_;
-      std::lock_guard<std::mutex> sl(stats_mutex_);
-      ++stats_.refused_connects;
-      return nullptr;
-    }
-    if (resume && script_ != nullptr && script_->accept_delay.count() > 0) {
-      clock_->sleep_for(script_->accept_delay);
-    }
-    const int tx = ::socket(AF_INET, SOCK_STREAM, 0);
-    VELA_CHECK_MSG(tx >= 0, "socket(): " + std::string(std::strerror(errno)));
-    if (::connect(tx, reinterpret_cast<const sockaddr*>(&addr_),
-                  sizeof(addr_)) != 0) {
-      ::close(tx);
-      return nullptr;
-    }
-    const int rx = ::accept(listener_, nullptr, nullptr);
-    if (rx < 0) {
-      ::close(tx);
-      return nullptr;
-    }
-    // Frames are small and latency-sensitive (request/reply protocol):
-    // disable Nagle so a record is not held back waiting for an ACK.
-    const int one = 1;
-    ::setsockopt(tx, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Conn>();
-    conn->tx_fd = tx;
-    conn->rx_fd = rx;
-    return conn;
-  }
-
-  // The scripted sever (if any) that fires on data frame `seq`. Caller
-  // holds state_mutex_.
-  const ConnectionScript::Sever* pending_sever_locked(std::uint64_t seq) {
-    if (script_ == nullptr) return nullptr;
-    for (std::size_t i = 0; i < script_->severs.size(); ++i) {
-      if (!sever_fired_[i] && script_->severs[i].frame_index == seq) {
-        sever_fired_[i] = true;
-        return &script_->severs[i];
-      }
-    }
-    return nullptr;
-  }
-
-  // Opportunistic ack drain on the send path: prunes the replay buffer.
-  void drain_acks(const std::shared_ptr<Conn>& conn) {
-    while (true) {
-      std::uint8_t buf[4096];
-      const ssize_t n =
-          ::recv(conn->tx_fd, buf, sizeof(buf), MSG_DONTWAIT);
-      if (n <= 0) break;
-      conn->ack_parser.feed(buf, static_cast<std::size_t>(n));
-    }
-    Record rec;
-    while (conn->ack_parser.next(&rec)) {
-      VELA_CHECK_MSG(rec.type == kRecAck,
-                     "unexpected session record on ack direction: "
-                         << static_cast<int>(rec.type));
-      std::lock_guard<std::mutex> st(state_mutex_);
-      prune_replay_locked(rec.seq);
-    }
-  }
-
-  void prune_replay_locked(std::uint64_t next_expected) {
-    while (!replay_.empty() && replay_.front().first < next_expected) {
-      replay_.pop_front();
-    }
-  }
-
-  // Receiver-side cumulative ack. Best-effort: a lost ack only delays
-  // pruning (the reconnect hello is the authoritative sync point).
-  void send_ack(const std::shared_ptr<Conn>& conn,
-                std::uint64_t next_expected) {
-    const auto ack = encode_ctrl_record(kRecAck, next_expected);
-    write_all(conn->rx_fd, ack.data(), ack.size());
-  }
-
-  // Session resume (DESIGN.md §11). Caller holds state_mutex_ via `st`.
-  // Backoff attempt k sleeps min(base·mult^(k-1), max) + seeded jitter on
-  // the injected clock. The handshake: a fresh connection is established
-  // through the retained listener, the receive side sends kHello carrying
-  // its next expected sequence number, the send side prunes its replay
-  // buffer to that point and replays the rest — then the connection is
-  // published and the old one's fds are shut down (waking any pollers).
-  // Returns false once the attempt budget is exhausted: the session is
-  // dead and the transport reports closed.
-  bool recover_locked(const std::shared_ptr<Conn>& old_conn,
-                      std::unique_lock<std::mutex>& st) {
-    (void)st;
-    if (dead_.load(std::memory_order_acquire)) return false;
-    if (goodbye_received_ ||
-        (closed_.load(std::memory_order_acquire) && snapshot() == old_conn)) {
-      // Graceful close in progress — nothing to resume.
-      return false;
-    }
-    if (snapshot() != old_conn) return true;  // another thread resumed
-
-    for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
-      if (attempt > 1) {
-        const auto base = policy_.backoff_base.count();
-        double delay = static_cast<double>(base);
-        for (int k = 2; k < attempt; ++k) delay *= policy_.backoff_multiplier;
-        delay = std::min(delay,
-                         static_cast<double>(policy_.backoff_max.count()));
-        const auto jitter = static_cast<std::int64_t>(
-            jitter_rng_.uniform_index(static_cast<std::uint64_t>(base) + 1));
-        clock_->sleep_for(std::chrono::milliseconds(
-            static_cast<std::int64_t>(delay) + jitter));
-      }
-      std::shared_ptr<Conn> fresh = connect_pair(/*resume=*/true);
-      if (fresh == nullptr) continue;  // refused
-
-      // Handshake: receive side → kHello(next_expected) → send side.
-      const std::uint64_t expected =
-          next_expected_.load(std::memory_order_acquire);
-      const auto hello = encode_ctrl_record(kRecHello, expected);
-      if (!write_all_timed(fresh->rx_fd, hello.data(), hello.size(), 2000)) {
-        continue;
-      }
-      Record rec;
-      if (!read_record_blocking(fresh->tx_fd, &fresh->ack_parser, &rec) ||
-          rec.type != kRecHello) {
-        continue;
-      }
-      prune_replay_locked(rec.seq);
-
-      // Publish BEFORE replaying: the receive path (which never blocks on
-      // state_mutex_) starts draining the fresh connection immediately, so
-      // a replay larger than the socket buffers still makes progress.
-      {
-        std::lock_guard<std::mutex> cp(conn_ptr_mutex_);
-        conn_ = fresh;
-      }
-      ::shutdown(old_conn->tx_fd, SHUT_RDWR);
-      ::shutdown(old_conn->rx_fd, SHUT_RDWR);
-
-      bool ok = true;
-      {
-        std::lock_guard<std::mutex> wl(fresh->write_mutex);
-        for (const auto& [seq, frame] : replay_) {
-          const auto record = encode_data_record(seq, frame);
-          if (!write_all_timed(fresh->tx_fd, record.data(), record.size(),
-                               5000)) {
-            ok = false;
-            break;
-          }
-          {
-            std::lock_guard<std::mutex> sl(stats_mutex_);
-            ++stats_.replayed_frames;
-            stats_.replayed_bytes += record.size();
-          }
-          if (audit::enabled()) {
-            audit::ConservationLedger::instance().on_session_replay(
-                record.size());
-          }
-        }
-      }
-      if (!ok) {
-        // The fresh connection wedged mid-replay; cut it and try again —
-        // the next hello re-syncs, so nothing is lost or duplicated.
-        ::shutdown(fresh->tx_fd, SHUT_RDWR);
-        ::shutdown(fresh->rx_fd, SHUT_RDWR);
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> sl(stats_mutex_);
-        ++stats_.reconnects;
-      }
-      VELA_LOG_DEBUG("session") << "resumed after " << attempt
-                                << " attempt(s), replayed " << replay_.size()
-                                << " frame(s)";
-      return true;
-    }
-
-    // Budget exhausted: the session is dead. The transport reports closed;
-    // the layers above turn that into WorkerFailedError → degrade.
-    dead_.store(true, std::memory_order_release);
-    closed_.store(true, std::memory_order_release);
-    ::shutdown(old_conn->tx_fd, SHUT_RDWR);
-    ::shutdown(old_conn->rx_fd, SHUT_RDWR);
-    {
-      std::lock_guard<std::mutex> cp(conn_ptr_mutex_);
-      if (conn_ != old_conn) {
-        ::shutdown(conn_->tx_fd, SHUT_RDWR);
-        ::shutdown(conn_->rx_fd, SHUT_RDWR);
-      }
-    }
-    VELA_LOG_WARN("session") << "reconnect budget exhausted ("
-                             << policy_.max_attempts
-                             << " attempts); session dead";
-    return false;
-  }
-
-  // Blocking read of one record during the handshake (real-time bounded:
-  // loopback round trip, not protocol time).
-  bool read_record_blocking(int fd, RecordParser* parser, Record* out) {
-    return session::read_record_blocking(fd, parser, out, /*budget_ms=*/2000);
-  }
-
-  util::Clock* clock_;
-  ReconnectPolicy policy_;
-  int listener_ = -1;
-  sockaddr_in addr_{};
-
-  std::mutex tx_mutex_;  // serializes send()/close() callers
-  std::mutex rx_mutex_;  // serializes receive callers
-
-  // Session state: sequence numbers, replay buffer, reconnect machinery.
-  // Lock order (never reversed): tx_mutex_/rx_mutex_ → state_mutex_ →
-  // conn_ptr_mutex_/Conn::write_mutex → stats_mutex_.
-  std::mutex state_mutex_;
-  std::deque<std::pair<std::uint64_t, std::vector<std::uint8_t>>> replay_;
-  std::uint64_t next_seq_ = 0;  // guarded by state_mutex_
-  Rng jitter_rng_;              // guarded by state_mutex_
-  const ConnectionScript* script_ = nullptr;  // guarded by state_mutex_
-  std::vector<bool> sever_fired_;             // guarded by state_mutex_
-  int refused_so_far_ = 0;                    // guarded by state_mutex_
-
-  mutable std::mutex conn_ptr_mutex_;
-  std::shared_ptr<Conn> conn_;  // guarded by conn_ptr_mutex_
-
-  std::atomic<std::uint64_t> next_expected_{0};
-  bool goodbye_received_ = false;  // guarded by rx_mutex_
-  std::atomic<bool> closed_{false};
-  std::atomic<bool> dead_{false};
-
-  mutable std::mutex stats_mutex_;
-  SessionStats stats_;  // guarded by stats_mutex_
-};
-
-SocketTransport::SocketTransport(util::Clock* clock, ReconnectPolicy policy)
-    : impl_(std::make_unique<Impl>(clock, policy)) {}
-SocketTransport::~SocketTransport() = default;
+SocketTransport::~SocketTransport() { ::close(listen_fd_); }
 
 bool SocketTransport::send(std::vector<std::uint8_t> frame) {
-  return impl_->send(frame);
+  return sender_->send(frame);
 }
 
 std::optional<std::vector<std::uint8_t>> SocketTransport::receive() {
   std::vector<std::uint8_t> frame;
-  if (impl_->receive_within(-1, &frame) != PopStatus::kOk) return std::nullopt;
+  if (receiver_->receive(-1, &frame) != PopStatus::kOk) return std::nullopt;
   return frame;
 }
 
 std::optional<std::vector<std::uint8_t>> SocketTransport::try_receive() {
   std::vector<std::uint8_t> frame;
-  if (impl_->receive_within(0, &frame) != PopStatus::kOk) return std::nullopt;
+  if (receiver_->receive(0, &frame) != PopStatus::kOk) return std::nullopt;
   return frame;
 }
 
 PopStatus SocketTransport::receive_for(std::chrono::milliseconds timeout,
                                        std::vector<std::uint8_t>* out) {
   const long ms = static_cast<long>(timeout.count());
-  return impl_->receive_within(ms < 0 ? 0 : ms, out);
+  return receiver_->receive(ms < 0 ? 0 : ms, out);
 }
 
-void SocketTransport::close() { impl_->close(); }
+// Closing the sending side is the whole close: the receiver drains to the
+// goodbye (close-then-drain).
+void SocketTransport::close() { sender_->close(); }
 
-bool SocketTransport::closed() const { return impl_->closed(); }
+bool SocketTransport::closed() const { return sender_->closed(); }
 
 void SocketTransport::set_connection_script(const ConnectionScript* script) {
-  impl_->set_connection_script(script);
+  sender_->set_connection_script(script);
 }
 
 SessionStats SocketTransport::session_stats() const {
-  return impl_->session_stats();
+  SessionStats stats = sender_->stats();
+  stats.duplicates_discarded = receiver_->stats().duplicates_discarded;
+  return stats;
+}
+
+ReconnectPolicy default_reconnect_policy() {
+  ReconnectPolicy policy;
+  if (const char* env = std::getenv("VELA_RECONNECT_ATTEMPTS");
+      env != nullptr && env[0] != '\0') {
+    const long attempts = std::strtol(env, nullptr, 10);
+    VELA_CHECK_MSG(attempts >= 1, "VELA_RECONNECT_ATTEMPTS must be >= 1, got '" +
+                                      std::string(env) + "'");
+    policy.max_attempts = static_cast<int>(attempts);
+  }
+  return policy;
 }
 
 std::unique_ptr<Transport> make_transport(TransportKind kind) {
   if (resolve_transport(kind) == TransportKind::kSocket) {
-    ReconnectPolicy policy;
-    // Retry-budget knob (README): cap reconnect attempts per sever before
-    // the session is declared dead.
-    if (const char* env = std::getenv("VELA_RECONNECT_ATTEMPTS");
-        env != nullptr && env[0] != '\0') {
-      const long attempts = std::strtol(env, nullptr, 10);
-      VELA_CHECK_MSG(attempts >= 1,
-                     "VELA_RECONNECT_ATTEMPTS must be >= 1, got '" +
-                         std::string(env) + "'");
-      policy.max_attempts = static_cast<int>(attempts);
-    }
-    return std::make_unique<SocketTransport>(nullptr, policy);
+    return std::make_unique<SocketTransport>(nullptr,
+                                             default_reconnect_policy());
   }
   return std::make_unique<InProcTransport>();
 }

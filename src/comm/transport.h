@@ -1,35 +1,35 @@
 // Byte-stream transport under the comm fabric (DESIGN.md §10, §11).
 //
 // A Transport moves complete frames (frame.h: length-prefixed, CRC-trailed
-// byte buffers) between two endpoints that both live in this process. It
-// knows nothing about Messages, meters, ledgers or message-level fault
-// injection — all of that lives one layer up in comm::Endpoint, which is
-// what makes the backends interchangeable: the same fine-tune must be
-// bit-exact (losses, weights, TrafficMeter counts) under every
-// TransportKind.
+// byte buffers) from one endpoint to another. It knows nothing about
+// Messages, meters, ledgers or message-level fault injection — all of that
+// lives one layer up in comm::Endpoint, which is what makes the backends
+// interchangeable: the same fine-tune must be bit-exact (losses, weights,
+// TrafficMeter counts) under every TransportKind.
 //
-// Two from-scratch backends:
+// Backends:
 //
 //   * InProcTransport — a BlockingQueue of frame buffers; exactly the
 //     blocking-queue semantics the runtime has always had.
-//   * SocketTransport — a real localhost TCP connection with SESSION RESUME
-//     (DESIGN.md §11): frames ride sequence-numbered session records, the
-//     listener is retained for the life of the transport, and a severed
-//     connection is re-established with bounded exponential backoff
-//     (deterministically seeded jitter) and a hello/ack handshake that
-//     replays unacknowledged frames — a cut cable loses no frames. Only
-//     when the reconnect budget is exhausted does the transport report
-//     closed, which the layers above translate into worker death.
+//   * SocketTransport — a localhost TCP connection with session resume: a
+//     session::SenderHalf and a session::ReceiverHalf (comm/session.h)
+//     over a private listen socket. A severed connection is re-established
+//     with bounded, deterministically jittered backoff, and the hello
+//     handshake replays every unacknowledged frame, so a cut cable loses
+//     nothing. Only an exhausted reconnect budget closes the transport,
+//     which the layers above translate into worker death.
+//   * RemoteSocketTransport (comm/remote_transport.h) — one of those halves
+//     in each of two processes (DESIGN.md §12).
 //
 // Connection-level fault scripting: a ConnectionScript (installed by the
 // Endpoint from the FaultInjector's plan) describes faults *below* the
 // frame layer — severing the TCP stream mid-record at an exact byte
 // offset, refusing the next N reconnect attempts, delaying accepts. On the
-// socket backend these exercise the real resume machinery; on the in-proc
-// backend (which has no byte stream or reconnect) a scripted sever closes
-// the queue permanently, so a "sever + refuse-all-reconnects" script kills
-// a link identically on both backends and degrade tests are
-// backend-invariant.
+// socket backends the sender half runs them through the real resume
+// machinery; on the in-proc backend (which has no byte stream or
+// reconnect) a scripted sever closes the queue permanently, so a "sever +
+// refuse-all-reconnects" script kills a link identically on every backend
+// and degrade tests are backend-invariant.
 //
 // Selection: VELA_TRANSPORT=inproc|socket (config fields default to
 // kDefault, which defers to the environment; unset means inproc).
@@ -91,10 +91,11 @@ struct ConnectionScript {
   std::chrono::milliseconds accept_delay{0};
 };
 
-// Reconnect schedule for the socket backend's session resume. Attempt k
-// (k >= 1) sleeps min(base * multiplier^(k-1), max) plus a deterministic
-// jitter drawn from `jitter_seed` in [0, base); after `max_attempts`
-// failures the session is declared dead and the transport closes.
+// Reconnect schedule for socket session resume. Attempt 1 is immediate;
+// attempt k >= 2 first sleeps min(base * multiplier^(k-2), max) plus a
+// deterministic jitter in [0, base] drawn from `jitter_seed`. After
+// `max_attempts` failures the session is declared dead and the transport
+// closes.
 struct ReconnectPolicy {
   std::chrono::milliseconds backoff_base{5};
   std::chrono::milliseconds backoff_max{250};
@@ -103,7 +104,12 @@ struct ReconnectPolicy {
   std::uint64_t jitter_seed = 0x5eedf00dULL;
 };
 
-// Observability counters for the session layer (socket backend).
+// The policy a socket lane uses unless one is passed in: the defaults
+// above, with max_attempts capped by VELA_RECONNECT_ATTEMPTS when set
+// (>= 1, read per call).
+[[nodiscard]] ReconnectPolicy default_reconnect_policy();
+
+// Observability counters for the session layer (socket backends).
 struct SessionStats {
   std::uint64_t frames_sent = 0;        // data records first-transmitted
   std::uint64_t reconnects = 0;         // successful session resumes
@@ -182,14 +188,16 @@ class InProcTransport final : public Transport {
   std::vector<bool> sever_fired_;             // guarded by script_mutex_
 };
 
-// Real-socket backend: a loopback TCP connection whose two file descriptors
-// are both owned by this object. The constructor performs the blocking
-// handshake — listen on an ephemeral 127.0.0.1 port, connect, accept — and
-// RETAINS the listener so a severed connection can be re-established
-// (session resume, DESIGN.md §11). The remote-process split — where the two
-// halves live in different OS processes — is RemoteSocketTransport
-// (comm/remote_transport.h, DESIGN.md §12); both speak the shared session
-// codec in comm/session.h.
+namespace session {
+class SenderHalf;
+class ReceiverHalf;
+}  // namespace session
+
+// Loopback socket backend: both session halves of one lane in this object,
+// over a private 127.0.0.1 listen socket retained for the life of the
+// transport. The constructor connects and accepts the first connection; on
+// a loss the sender connects and accepts again and hands the accepted end
+// to its own receiver half, in the sending thread.
 class SocketTransport final : public Transport {
  public:
   // `clock` drives backoff sleeps and defaults to the system clock;
@@ -214,8 +222,10 @@ class SocketTransport final : public Transport {
   [[nodiscard]] SessionStats session_stats() const;
 
  private:
-  class Impl;  // keeps <sys/socket.h> and friends out of this header
-  std::unique_ptr<Impl> impl_;
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::unique_ptr<session::ReceiverHalf> receiver_;
+  std::unique_ptr<session::SenderHalf> sender_;
 };
 
 }  // namespace vela::comm

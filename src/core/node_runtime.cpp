@@ -11,7 +11,7 @@ namespace vela::core {
 
 int run_worker_node(const Scenario& scenario, std::uint32_t rank,
                     std::uint16_t port, std::uint64_t session_id,
-                    bool fresh_start) {
+                    bool fresh_start, comm::ReconnectPolicy reconnect) {
   const VelaSystemConfig cfg = scenario.system_config(/*remote=*/true);
   cluster::ClusterTopology topology(cfg.cluster);
   VELA_CHECK_MSG(rank < topology.num_workers(),
@@ -34,7 +34,8 @@ int run_worker_node(const Scenario& scenario, std::uint32_t rank,
   // against its own placement, so a scenario mismatch between launcher and
   // worker dies at connect time, not as silent divergence mid-run.
   auto link = comm::make_worker_remote_link(
-      port, rank, assigned.size(), session_id, topology.master_node(), node);
+      port, rank, assigned.size(), session_id, topology.master_node(), node,
+      reconnect);
   VELA_LOG_INFO("node") << "worker " << rank << " connected to port " << port
                         << " hosting " << assigned.size() << " expert(s)";
 

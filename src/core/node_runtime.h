@@ -39,10 +39,12 @@ namespace vela::core {
 // process starts empty and is restocked over the wire), dials the master's
 // `port`, serves until shutdown. `session_id` must be unique per process
 // incarnation (vela_node uses its pid); reconnects re-identify with it.
-// Returns the process exit code (0 = clean shutdown).
+// `reconnect` bounds both lanes' session resume. Returns the process exit
+// code (0 = clean shutdown).
 int run_worker_node(const Scenario& scenario, std::uint32_t rank,
                     std::uint16_t port, std::uint64_t session_id,
-                    bool fresh_start = false);
+                    bool fresh_start = false,
+                    comm::ReconnectPolicy reconnect = {});
 
 // Builds the master's fleet by adopting `scenario.workers` identified peers
 // from `listener`. Construction fails loudly if a worker does not dial in

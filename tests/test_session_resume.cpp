@@ -1,5 +1,5 @@
-// Session-resume tests for the socket backend (`ctest -L degrade`,
-// DESIGN.md §11).
+// Session-resume tests for the socket backends (`ctest -L degrade`,
+// DESIGN.md §11, §12).
 //
 // The contract under test: a severed TCP connection loses no frames and
 // duplicates none — the transport reconnects under a bounded, deterministic
@@ -9,10 +9,18 @@
 // record (0 .. kSessionDataOverheadBytes + frame size) and requires
 // exactly-once in-order delivery at each offset. The conservation audit
 // proves replayed bytes are charged exactly once at the accounting boundary.
+//
+// The torn-connection, refusal, backoff, exhausted-budget and accept-delay
+// cases are templates over the lane type and run on both socket backends:
+// SessionResume.* on the loopback SocketTransport, RemoteSessionResume.* on
+// a RemotePair (a cross-process lane built in one process, below).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -22,6 +30,9 @@
 #include "comm/endpoint.h"
 #include "comm/fault_injector.h"
 #include "comm/message.h"
+#include "comm/peer_listener.h"
+#include "comm/remote_transport.h"
+#include "comm/session.h"
 #include "comm/transport.h"
 #include "tensor/tensor.h"
 #include "util/audit.h"
@@ -40,9 +51,89 @@ std::vector<std::uint8_t> test_frame(std::size_t len, std::uint8_t tag) {
   return f;
 }
 
+// A worker→master lane in one process: the worker's sender is a real
+// RemoteSocketTransport::dial over a PeerListener; the master's receiver is
+// the half RemoteSocketTransport::adopt builds (take_resume as its source).
+// A resume pump thread hands each re-identified connection straight to that
+// receiver half, which writes the hello, so the sender resumes while the
+// test thread is still sending — as on the loopback, where the sender hands
+// the accepted end over itself. (A thread draining the receiver instead
+// would deliver frame 0 before the cut and change the replay counts the
+// tests pin.) The injected clock times the sender, whose schedule the tests
+// pin; the receiver uses the system clock.
+class RemotePair {
+ public:
+  RemotePair(util::Clock* clock, comm::ReconnectPolicy policy)
+      : listener_(comm::make_peer_listener()) {
+    comm::session::PeerIdentity id;
+    id.lane = comm::session::kLaneToMaster;
+    id.session_id = 1;
+    sender_ = comm::RemoteSocketTransport::dial(
+        listener_->bound_port(), comm::RemoteSocketTransport::Role::kSender,
+        id, clock, policy);
+    comm::AcceptedPeer peer =
+        listener_->take_peer(id.rank, id.lane, milliseconds(5000));
+    EXPECT_TRUE(peer.valid());
+    const comm::session::ConnectionSource take_resume =
+        [this, id]() -> comm::session::ConnectionPtr {
+      comm::AcceptedPeer again = listener_->take_resume(
+          id.rank, id.lane, id.session_id, milliseconds(20));
+      if (!again.valid()) return nullptr;
+      return std::make_shared<comm::session::Connection>(again.fd,
+                                                         again.leftover);
+    };
+    receiver_ = std::make_unique<comm::session::ReceiverHalf>(
+        std::make_shared<comm::session::Connection>(peer.fd, peer.leftover),
+        take_resume, nullptr, policy);
+    pump_ = std::thread([this, take_resume] {
+      while (!stop_.load()) {
+        if (auto fresh = take_resume()) (void)receiver_->adopt(fresh);
+      }
+    });
+  }
+
+  ~RemotePair() {
+    stop_.store(true);
+    pump_.join();
+  }
+
+  bool send(std::vector<std::uint8_t> frame) {
+    return sender_->send(std::move(frame));
+  }
+  std::optional<std::vector<std::uint8_t>> receive() {
+    std::vector<std::uint8_t> frame;
+    if (receiver_->receive(-1, &frame) != PopStatus::kOk) return std::nullopt;
+    return frame;
+  }
+  void close() { sender_->close(); }
+  bool closed() const { return sender_->closed(); }
+  void set_connection_script(const comm::ConnectionScript* script) {
+    sender_->set_connection_script(script);
+  }
+  comm::SessionStats session_stats() const {
+    comm::SessionStats stats = sender_->session_stats();
+    stats.duplicates_discarded = receiver_->stats().duplicates_discarded;
+    return stats;
+  }
+
+ private:
+  std::unique_ptr<comm::PeerListener> listener_;
+  std::unique_ptr<comm::RemoteSocketTransport> sender_;
+  std::unique_ptr<comm::session::ReceiverHalf> receiver_;
+  std::atomic<bool> stop_{false};
+  std::thread pump_;
+};
+
+// Declares TEST(SessionResume, name) on the loopback backend and
+// TEST(RemoteSessionResume, name) on RemotePair, both running body<Lane>().
+#define SESSION_RESUME_ON_BOTH_BACKENDS(name, body)                  \
+  TEST(SessionResume, name) { body<comm::SocketTransport>(); }       \
+  TEST(RemoteSessionResume, name) { body<RemotePair>(); }
+
 // --- torn-connection property sweep -----------------------------------------
 
-TEST(SessionResume, TornConnectionAtEveryByteOffsetLosesNothing) {
+template <class Lane>
+void torn_connection_at_every_byte_offset() {
   constexpr std::size_t kFrameLen = 32;
   const std::size_t record_len = comm::kSessionDataOverheadBytes + kFrameLen;
   // Offset 0 cuts before any byte; record_len cuts between records (the
@@ -52,7 +143,7 @@ TEST(SessionResume, TornConnectionAtEveryByteOffsetLosesNothing) {
     util::FakeClock clock;
     comm::ConnectionScript script;
     script.severs.push_back({1, cut});
-    comm::SocketTransport transport(&clock, comm::ReconnectPolicy{});
+    Lane transport(&clock, comm::ReconnectPolicy{});
     transport.set_connection_script(&script);
 
     for (std::uint8_t i = 0; i < 3; ++i) {
@@ -74,6 +165,8 @@ TEST(SessionResume, TornConnectionAtEveryByteOffsetLosesNothing) {
     transport.close();
   }
 }
+SESSION_RESUME_ON_BOTH_BACKENDS(TornConnectionAtEveryByteOffsetLosesNothing,
+                                torn_connection_at_every_byte_offset)
 
 TEST(SessionResume, HelloHandshakePrunesDeliveredFrames) {
   util::FakeClock clock;
@@ -147,13 +240,14 @@ TEST(SessionResume, ConcurrentReceiverSurvivesRepeatedSevers) {
 
 // --- reconnect schedule ------------------------------------------------------
 
-TEST(SessionResume, RefusalsShortOfTheBudgetRecover) {
+template <class Lane>
+void refusals_short_of_the_budget_recover() {
   util::FakeClock clock;
   comm::ConnectionScript script;
   script.severs.push_back({1, 0});
   script.refuse_reconnects = 3;
   comm::ReconnectPolicy policy;  // base 5ms, ×2, max 250ms, 8 attempts
-  comm::SocketTransport transport(&clock, policy);
+  Lane transport(&clock, policy);
   transport.set_connection_script(&script);
 
   for (std::uint8_t i = 0; i < 3; ++i) {
@@ -175,14 +269,17 @@ TEST(SessionResume, RefusalsShortOfTheBudgetRecover) {
   EXPECT_LE(clock.total_slept(), milliseconds(50));
   transport.close();
 }
+SESSION_RESUME_ON_BOTH_BACKENDS(RefusalsShortOfTheBudgetRecover,
+                                refusals_short_of_the_budget_recover)
 
-TEST(SessionResume, BackoffScheduleIsDeterministicAndBounded) {
+template <class Lane>
+void backoff_schedule_is_deterministic_and_bounded() {
   const auto run = [](comm::ReconnectPolicy policy) {
     util::FakeClock clock;
     comm::ConnectionScript script;
     script.severs.push_back({0, 0});
     script.refuse_reconnects = 6;
-    comm::SocketTransport transport(&clock, policy);
+    Lane transport(&clock, policy);
     transport.set_connection_script(&script);
     EXPECT_TRUE(transport.send(test_frame(8, 1)));
     const auto got = transport.receive();
@@ -206,15 +303,28 @@ TEST(SessionResume, BackoffScheduleIsDeterministicAndBounded) {
   EXPECT_GE(capped, milliseconds(5 + 10 + 20 * 4));
   EXPECT_LE(capped, milliseconds(5 + 10 + 20 * 4 + 6 * 5));
 }
+SESSION_RESUME_ON_BOTH_BACKENDS(BackoffScheduleIsDeterministicAndBounded,
+                                backoff_schedule_is_deterministic_and_bounded)
 
-TEST(SessionResume, ExhaustedReconnectBudgetKillsTheSession) {
+// Every socket lane that is not handed a policy — make_transport and both
+// vela_node roles — builds it here.
+TEST(SessionResume, ReconnectAttemptsEnvCapsTheDefaultPolicy) {
+  ::setenv("VELA_RECONNECT_ATTEMPTS", "3", 1);
+  EXPECT_EQ(comm::default_reconnect_policy().max_attempts, 3);
+  ::unsetenv("VELA_RECONNECT_ATTEMPTS");
+  EXPECT_EQ(comm::default_reconnect_policy().max_attempts,
+            comm::ReconnectPolicy{}.max_attempts);
+}
+
+template <class Lane>
+void exhausted_reconnect_budget_kills_the_session() {
   util::FakeClock clock;
   comm::ConnectionScript script;
   script.severs.push_back({1, 0});
   script.refuse_reconnects = 99;  // >= budget: the sever is permanent
   comm::ReconnectPolicy policy;
   policy.max_attempts = 3;
-  comm::SocketTransport transport(&clock, policy);
+  Lane transport(&clock, policy);
   transport.set_connection_script(&script);
 
   EXPECT_TRUE(transport.send(test_frame(16, 0)));
@@ -233,13 +343,16 @@ TEST(SessionResume, ExhaustedReconnectBudgetKillsTheSession) {
   EXPECT_EQ(stats.reconnects, 0u);
   EXPECT_EQ(stats.severs_injected, 1u);
 }
+SESSION_RESUME_ON_BOTH_BACKENDS(ExhaustedReconnectBudgetKillsTheSession,
+                                exhausted_reconnect_budget_kills_the_session)
 
-TEST(SessionResume, AcceptDelayIsChargedToTheInjectedClock) {
+template <class Lane>
+void accept_delay_is_charged_to_the_injected_clock() {
   util::FakeClock clock;
   comm::ConnectionScript script;
   script.severs.push_back({1, 3});
   script.accept_delay = milliseconds(75);
-  comm::SocketTransport transport(&clock, comm::ReconnectPolicy{});
+  Lane transport(&clock, comm::ReconnectPolicy{});
   transport.set_connection_script(&script);
 
   for (std::uint8_t i = 0; i < 2; ++i) {
@@ -254,6 +367,8 @@ TEST(SessionResume, AcceptDelayIsChargedToTheInjectedClock) {
   EXPECT_EQ(clock.sleep_calls(), 1u);
   transport.close();
 }
+SESSION_RESUME_ON_BOTH_BACKENDS(AcceptDelayIsChargedToTheInjectedClock,
+                                accept_delay_is_charged_to_the_injected_clock)
 
 // --- backend invariance at the transport layer -------------------------------
 

@@ -49,8 +49,9 @@ int run_master(const core::Scenario& scenario, std::uint16_t port,
   std::printf("VELA_PORT %u\n", static_cast<unsigned>(listener->bound_port()));
   std::fflush(stdout);
 
-  auto master = core::make_remote_master(scenario, listener.get(),
-                                         std::chrono::milliseconds(30000));
+  auto master = core::make_remote_master(
+      scenario, listener.get(), std::chrono::milliseconds(30000),
+      comm::default_reconnect_policy());
   data::SyntheticCorpus corpus(scenario.corpus_config(), scenario.corpus_seed);
   core::VelaSystem vela(scenario.system_config(/*remote=*/true),
                         std::move(master), &corpus);
@@ -119,5 +120,6 @@ int main(int argc, char** argv) {
   // on one host, so a respawned rank never aliases its predecessor's session.
   return core::run_worker_node(scenario, static_cast<std::uint32_t>(rank),
                                static_cast<std::uint16_t>(port),
-                               static_cast<std::uint64_t>(::getpid()), fresh);
+                               static_cast<std::uint64_t>(::getpid()), fresh,
+                               comm::default_reconnect_policy());
 }
