@@ -117,15 +117,62 @@ TEST(ExpertWorker, OptimizerStepUpdatesAdapters) {
   EXPECT_FALSE(ops::allclose(before, after, 1e-7f, 1e-7f));
 }
 
+comm::Message compute_request(comm::MessageType type, std::uint64_t id,
+                              std::uint32_t expert, Tensor payload) {
+  comm::Message msg;
+  msg.type = type;
+  msg.request_id = id;
+  msg.layer = 0;
+  msg.expert = expert;
+  msg.payload = std::move(payload);
+  return msg;
+}
+
 TEST(ExpertWorker, UnknownExpertIsProtocolError) {
-  // Worker hosts (0,0) and (0,1); requesting (0,3) must fail loudly, which
-  // surfaces as a closed channel (the worker thread dies with an exception
-  // suppressed by join) — instead we check through a fresh worker to keep
-  // the failure containable: send to layer 5.
+  // Both forwards are queued before the thread starts, so they drain as one
+  // run: the valid prefix ((0,0)) computes and replies, then the unhosted
+  // (0,3) kills the worker, which the master observes as a closed channel.
   comm::DuplexLink link(comm::TransportKind::kDefault, 0, 0, nullptr);
-  core::ExpertWorker worker(test_spec(), &link, {{0, 0}});
-  // Don't start the thread; exercise the construction paths only.
-  EXPECT_EQ(worker.experts_hosted(), 1u);
+  core::ExpertWorker worker(test_spec(), &link, {{0, 0}, {0, 1}});
+  Rng xr(5);
+  const Tensor xs = ops::randn({2, 8}, xr);
+  link.to_worker.send(
+      compute_request(comm::MessageType::kExpertForward, 1, 0, xs));
+  link.to_worker.send(
+      compute_request(comm::MessageType::kExpertForward, 2, 3, xs));
+  worker.start();
+  auto reply = link.to_master.receive();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, comm::MessageType::kExpertForwardResult);
+  EXPECT_EQ(reply->request_id, 1u);
+  EXPECT_EQ(reply->expert, 0u);
+  EXPECT_FALSE(link.to_master.receive().has_value());
+  worker.join();
+}
+
+TEST(ExpertWorker, UnknownBackwardRequestIsProtocolError) {
+  // Backward analogue: after one valid backward, a backward for a request
+  // id that has no pending tape replies nothing and kills the worker.
+  comm::DuplexLink link(comm::TransportKind::kDefault, 0, 0, nullptr);
+  core::ExpertWorker worker(test_spec(), &link, {{0, 0}, {0, 1}});
+  Rng xr(6);
+  const Tensor xs = ops::randn({2, 8}, xr);
+  link.to_worker.send(
+      compute_request(comm::MessageType::kExpertForward, 1, 0, xs));
+  link.to_worker.send(compute_request(comm::MessageType::kExpertBackward, 1,
+                                      0, Tensor::ones({2, 8})));
+  link.to_worker.send(compute_request(comm::MessageType::kExpertBackward, 99,
+                                      0, Tensor::ones({2, 8})));
+  worker.start();
+  auto fwd = link.to_master.receive();
+  ASSERT_TRUE(fwd.has_value());
+  EXPECT_EQ(fwd->type, comm::MessageType::kExpertForwardResult);
+  auto bwd = link.to_master.receive();
+  ASSERT_TRUE(bwd.has_value());
+  EXPECT_EQ(bwd->type, comm::MessageType::kExpertBackwardResult);
+  EXPECT_EQ(bwd->request_id, 1u);
+  EXPECT_FALSE(link.to_master.receive().has_value());
+  worker.join();
 }
 
 TEST(ExpertWorker, FetchRemovesAndInstallRestores) {
