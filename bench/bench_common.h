@@ -85,13 +85,13 @@ inline constexpr std::size_t kTokensPerStep = 2048;
 inline constexpr std::size_t kFineTuneSteps = 500;
 
 struct SettingRuntime {
-  model::PlantedRouting routing;
+  moe::PlantedRouting routing;
   std::vector<double> domain_dist;
   moe::SyntheticRouter router;
   Tensor probability;  // profiled P (pre-fine-tuning pass)
 
   explicit SettingRuntime(const Setting& s)
-      : routing(model::PlantedRouting::generate(
+      : routing(moe::PlantedRouting::generate(
             s.model.num_layers, s.model.num_experts, s.num_domains,
             s.popularity_zipf, s.seed)),
         domain_dist(

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   // A Mixtral-shaped routing profile with the requested concentration.
   auto shape = model::ModelConfig::mixtral_8x7b_shape();
-  auto routing = model::PlantedRouting::generate(
+  auto routing = moe::PlantedRouting::generate(
       shape.num_layers, shape.num_experts, 16, zipf, 17);
   moe::SyntheticRouterConfig rcfg;
   rcfg.domain_dist.assign(16, 1.0);

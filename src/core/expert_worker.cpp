@@ -1,57 +1,42 @@
 #include "core/expert_worker.h"
 
 #include <algorithm>
-#include <functional>
+#include <optional>
 #include <utility>
 
-#include "tensor/ops.h"
 #include "util/check.h"
 #include "util/logging.h"
-#include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace vela::core {
+namespace {
+
+store::StoreConfig worker_store(const WorkerSpec& spec,
+                                comm::TrafficMeter* meter) {
+  store::StoreConfig cfg;
+  cfg.budget = spec.expert_budget;
+  cfg.dir = spec.store_dir;
+  cfg.dtype = spec.store_dtype;
+  cfg.meter = meter;
+  return cfg.resolved();
+}
+
+}  // namespace
 
 ExpertWorker::ExpertWorker(WorkerSpec spec, comm::DuplexLink* link,
                            std::vector<ExpertKey> initial_experts,
                            comm::TrafficMeter* meter)
     : spec_(spec),
-      codec_(comm::WireCodec::resolve(spec.wire_dtype, spec.wire_bits,
-                                      spec.quantize_wire, spec.q8_block)),
-      link_(link) {
+      link_(link),
+      // Dispatch-payload codec resolved from the spec (comm/wire_codec.h) —
+      // necessarily the same resolution the master's broker performed. It
+      // applies to compute replies only; state/snapshot replies stay fp32.
+      executor_(worker_store(spec, meter), spec.base_seed, spec.model_dim,
+                spec.hidden_dim, spec.lora, spec.adamw,
+                comm::WireCodec::resolve(spec.wire_dtype, spec.wire_bits,
+                                         spec.quantize_wire, spec.q8_block),
+                /*source=*/0) {
   VELA_CHECK(link != nullptr);
-  store::StoreConfig cfg;
-  cfg.budget = spec_.expert_budget;
-  cfg.dir = spec_.store_dir;
-  cfg.dtype = spec_.store_dtype;
-  cfg.meter = meter;
-  // The factory rebuilds everything an expert derives from its seed: frozen
-  // bases, the q8 compute pack, a fresh optimizer. Page-in layers the
-  // spilled adapters/gradients/moments on top.
-  store_ = store::make_expert_store(
-      cfg.resolved(), [this](const ExpertKey& key) {
-        Rng rng(nn::expert_seed(spec_.base_seed, key.layer, key.expert));
-        store::ExpertSlot slot;
-        slot.expert = std::make_unique<nn::SwiGLUExpert>(
-            "layer" + std::to_string(key.layer) + ".expert" +
-                std::to_string(key.expert),
-            spec_.model_dim, spec_.hidden_dim, spec_.lora, rng);
-        if (codec_.is_int8()) {
-          // Quantized compute tier: the frozen bases run through the packed
-          // q8 GEMM. Deterministic per expert (pack depends only on the
-          // seeded weights), so migration, respawn and page-in re-derive the
-          // identical pack.
-          slot.expert->enable_q8_compute(codec_.block);
-        }
-        if (spec_.lora.enabled) {
-          slot.optimizer = std::make_unique<nn::AdamW>(
-              slot.expert->trainable_parameters(), spec_.adamw);
-        }
-        return slot;
-      });
-  for (const auto& key : initial_experts) {
-    install_expert(key, nullptr);
-  }
+  for (const auto& key : initial_experts) executor_.install(key);
 }
 
 ExpertWorker::~ExpertWorker() {
@@ -68,30 +53,6 @@ void ExpertWorker::start() {
 
 void ExpertWorker::join() {
   if (thread_.joinable()) thread_.join();
-}
-
-void ExpertWorker::install_expert(const ExpertKey& key, const Tensor* state) {
-  VELA_CHECK_MSG(!store_->contains(key),
-                 "expert " << to_string(key) << " already hosted on worker "
-                           << spec_.worker_id);
-  store_->emplace(key);
-  if (state != nullptr) {
-    store::Pinned pinned(*store_, key);
-    unpack_trainable(*state, pinned.expert());
-  }
-}
-
-void ExpertWorker::require_hosted(const ExpertKey& key) const {
-  VELA_CHECK_MSG(store_->contains(key),
-                 "worker " << spec_.worker_id << " does not host expert "
-                           << to_string(key));
-}
-
-void ExpertWorker::release_pending() {
-  for (auto& [id, req] : pending_) {
-    store_->unpin(req.key);
-  }
-  pending_.clear();
 }
 
 void ExpertWorker::run() {
@@ -133,229 +94,6 @@ void ExpertWorker::run_loop(const std::string& tag) {
     }
     if (!process_batch(std::move(batch), tag)) return;
   }
-}
-
-bool ExpertWorker::handle_forward_run(std::vector<comm::Message>& run) {
-  // Serial semantics on a missing expert: every request before it completes
-  // and replies, then the failed lookup kills the worker. Truncate the run at
-  // the first unhosted expert, compute the valid prefix, then let
-  // require_hosted raise for the offender.
-  std::size_t valid = run.size();
-  for (std::size_t i = 0; i < run.size(); ++i) {
-    if (!store_->contains({run[i].layer, run[i].expert})) {
-      valid = i;
-      break;
-    }
-  }
-  // Pin serially on the worker thread, in arrival order — on a bounded store
-  // this is where cold experts page in, and arrival order makes the paging
-  // sequence deterministic. Each request holds its own pin until backward
-  // retires it (pins nest for repeated experts).
-  std::vector<nn::SwiGLUExpert*> experts;
-  experts.reserve(valid);
-  for (std::size_t i = 0; i < valid; ++i) {
-    experts.push_back(
-        store_->pin({run[i].layer, run[i].expert}).expert.get());
-  }
-  struct Slot {
-    ag::Variable x;
-    ag::Variable y;
-    comm::Message reply;
-  };
-  std::vector<Slot> slots(valid);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(valid);
-  for (std::size_t i = 0; i < valid; ++i) {
-    // Forwards only read expert weights, and each task owns its own request
-    // payload and slot, so distinct requests are data-race free even when
-    // they hit the same expert.
-    tasks.push_back([this, &run, &slots, &experts, i] {
-      comm::Message& msg = run[i];
-      Slot& s = slots[i];
-      nn::SwiGLUExpert& expert = *experts[i];
-      s.x = ag::Variable::leaf(std::move(msg.payload), /*requires_grad=*/true);
-      s.y = expert.forward(s.x);
-      comm::Message reply;
-      reply.type = comm::MessageType::kExpertForwardResult;
-      reply.request_id = msg.request_id;
-      reply.layer = msg.layer;
-      reply.expert = msg.expert;
-      reply.step = msg.step;
-      // Replies to fragments are fragments of the merged result: the echo
-      // keeps the broker's header-once-per-transfer accounting symmetric.
-      reply.chunk_index = msg.chunk_index;
-      reply.chunk_count = msg.chunk_count;
-      reply.payload = codec_.apply(s.y.value());
-      codec_.stamp(reply);
-      s.reply = std::move(reply);
-    });
-  }
-  util::ThreadPool::global().run(tasks);
-  // Bookkeeping and replies stay on the worker thread, in arrival order, so
-  // the master observes exactly the serial reply sequence.
-  for (std::size_t i = 0; i < valid; ++i) {
-    const ExpertKey key{run[i].layer, run[i].expert};
-    const auto [it, inserted] = pending_.emplace(
-        run[i].request_id, PendingRequest{key, slots[i].x, slots[i].y});
-    // A re-executed request (reply cache evicted after a lost reply) found
-    // its original tape still pending: the original keeps its pin, this
-    // execution's pin is surplus.
-    if (!inserted) store_->unpin(key);
-    ++requests_served_;
-    if (!reply_and_cache(dedupe_key(run[i]), std::move(slots[i].reply))) {
-      return false;
-    }
-  }
-  if (valid < run.size()) {
-    require_hosted({run[valid].layer, run[valid].expert});
-  }
-  return true;
-}
-
-bool ExpertWorker::handle_backward_run(std::vector<comm::Message>& run) {
-  // Same truncation contract as forward runs, for unknown request ids.
-  std::size_t valid = run.size();
-  for (std::size_t i = 0; i < run.size(); ++i) {
-    if (pending_.count(run[i].request_id) == 0) {
-      valid = i;
-      break;
-    }
-  }
-  // Fragment trains (the master's VELA_OVERLAP dispatch pipeline) assemble
-  // in arrival order and backpropagate once — through one full-batch tape —
-  // when their last fragment lands; a duplicate fragment of an incomplete
-  // train is simply ignored (the retransmission that completes it is the one
-  // that matters). Unfragmented messages keep the grouped-parallel path
-  // below. The master serializes backward round trips, so a run never mixes
-  // the two in practice; handling both keeps the contract local.
-  std::vector<std::size_t> plain;
-  plain.reserve(valid);
-  for (std::size_t i = 0; i < valid; ++i) {
-    comm::Message& msg = run[i];
-    if (msg.chunk_count <= 1) {
-      plain.push_back(i);
-      continue;
-    }
-    const std::uint64_t base = msg.request_id - msg.chunk_index;
-    PartialTrain& train = partial_backward_[base];
-    train.chunk_count = msg.chunk_count;
-    const std::size_t chunk = msg.chunk_index;
-    if (!train.fragments.emplace(chunk, std::move(msg)).second) continue;
-    if (train.fragments.size() == train.chunk_count) {
-      PartialTrain done = std::move(train);
-      partial_backward_.erase(base);
-      if (!stitched_backward(base, std::move(done))) return false;
-    }
-  }
-  struct Slot {
-    PendingRequest req;
-    comm::Message reply;
-  };
-  std::vector<Slot> slots(valid);
-  // Group by expert: backwards for the same expert accumulate into the same
-  // LoRA gradient buffers, so they run sequentially inside one task (in
-  // arrival order — the serial accumulation order); distinct experts touch
-  // disjoint parameter nodes and run as parallel tasks. std::map keys the
-  // groups in fixed expert-id order.
-  std::map<ExpertKey, std::vector<std::size_t>> groups;
-  for (const std::size_t i : plain) {
-    auto it = pending_.find(run[i].request_id);
-    slots[i].req = std::move(it->second);
-    pending_.erase(it);
-    groups[slots[i].req.key].push_back(i);
-  }
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(groups.size());
-  for (auto& [key, indices] : groups) {
-    tasks.push_back([this, &run, &slots, &indices = indices] {
-      for (const std::size_t i : indices) {
-        comm::Message& msg = run[i];
-        Slot& s = slots[i];
-        // Resume backpropagation: expert LoRA gradients accumulate locally;
-        // only the input gradient returns to the master.
-        ag::backward_from(s.req.output, msg.payload);
-        comm::Message reply;
-        reply.type = comm::MessageType::kExpertBackwardResult;
-        reply.request_id = msg.request_id;
-        reply.layer = msg.layer;
-        reply.expert = msg.expert;
-        reply.step = msg.step;
-        reply.payload = codec_.apply(s.req.input.grad());
-        codec_.stamp(reply);
-        s.reply = std::move(reply);
-      }
-    });
-  }
-  util::ThreadPool::global().run(tasks);
-  for (const std::size_t i : plain) {
-    // The gradients landed in the (still pinned) expert's parameters; the
-    // tape is retired, so the request's pin can go.
-    store_->unpin(slots[i].req.key);
-    if (!reply_and_cache(dedupe_key(run[i]), std::move(slots[i].reply))) {
-      return false;
-    }
-  }
-  VELA_CHECK_MSG(valid == run.size(),
-                 "backward for unknown request " << run[valid].request_id);
-  return true;
-}
-
-bool ExpertWorker::stitched_backward(std::uint64_t base_id,
-                                     PartialTrain train) {
-  // The per-chunk forward tapes are discarded and the forward recomputed on
-  // the concatenated batch: the expert kernels are row-local, so the
-  // recomputation reproduces the chunk outputs bit-for-bit, and running ONE
-  // backward over the full batch keeps the LoRA gradient accumulation order
-  // — and with it every low-order bit of the weights — identical to the
-  // unchunked exchange (per-chunk backwards would sum partial dWs in a
-  // different order).
-  const comm::Message& first = train.fragments.begin()->second;
-  const ExpertKey key{first.layer, first.expert};
-  std::vector<Tensor> xs, dys;
-  xs.reserve(train.chunk_count);
-  dys.reserve(train.chunk_count);
-  for (auto& [chunk, msg] : train.fragments) {
-    auto it = pending_.find(base_id + chunk);
-    VELA_CHECK_MSG(it != pending_.end(),
-                   "backward fragment for unknown request " << base_id + chunk);
-    VELA_CHECK_MSG(it->second.key.layer == key.layer &&
-                       it->second.key.expert == key.expert,
-                   "fragment train spans experts");
-    xs.push_back(it->second.input.value());
-    dys.push_back(std::move(msg.payload));
-  }
-  require_hosted(key);
-  store::Pinned pinned(*store_, key);
-  nn::SwiGLUExpert& expert = pinned.expert();
-  ag::Variable in =
-      ag::Variable::leaf(ops::concat_rows(xs), /*requires_grad=*/true);
-  ag::Variable out = expert.forward(in);
-  ag::backward_from(out, ops::concat_rows(dys));
-  const Tensor& dx = in.grad();
-  std::size_t at = 0;
-  std::size_t c = 0;
-  for (auto& [chunk, msg] : train.fragments) {
-    const std::size_t rows = xs[c].rows();
-    comm::Message reply;
-    reply.type = comm::MessageType::kExpertBackwardResult;
-    reply.request_id = msg.request_id;
-    reply.layer = msg.layer;
-    reply.expert = msg.expert;
-    reply.step = msg.step;
-    reply.chunk_index = msg.chunk_index;
-    reply.chunk_count = msg.chunk_count;
-    Tensor slice = ops::slice_rows(dx, at, rows);
-    reply.payload =
-        codec_.transforms ? codec_.apply(slice) : std::move(slice);
-    codec_.stamp(reply);
-    at += rows;
-    ++c;
-    // Retire the fragment's pending tape and its pin.
-    pending_.erase(msg.request_id);
-    store_->unpin(key);
-    if (!reply_and_cache(dedupe_key(msg), std::move(reply))) return false;
-  }
-  return true;
 }
 
 bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
@@ -402,9 +140,16 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
         run.push_back(std::move(batch[i]));
         ++i;
       }
+      const auto send = [this](const comm::Message& request,
+                               comm::Message reply) {
+        if (request.type == comm::MessageType::kExpertForward) {
+          ++requests_served_;
+        }
+        return reply_and_cache(dedupe_key(request), std::move(reply));
+      };
       const bool ok = run.front().type == comm::MessageType::kExpertForward
-                          ? handle_forward_run(run)
-                          : handle_backward_run(run);
+                          ? executor_.forward(run, send)
+                          : executor_.backward(run, send);
       if (!ok) {
         VELA_LOG_ERROR(tag) << "reply channel closed; worker terminating";
         link_->to_worker.close();
@@ -414,8 +159,14 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
     }
 
     const ExpertKey key{msg.layer, msg.expert};
-    const std::uint64_t req_key = dedupe_key(msg);
-    bool sent = true;
+    // Control replies answer the request id; per-expert ones echo the key.
+    comm::Message reply;
+    reply.request_id = msg.request_id;
+    const auto expert_reply = [&reply, &msg](comm::MessageType type) {
+      reply.type = type;
+      reply.layer = msg.layer;
+      reply.expert = msg.expert;
+    };
     // Control-plane dispatch only: kExpertForward/kExpertBackward were
     // consumed by the run-batching branch above, and the *Result/*Done/
     // kExpertState/kExpertSnapshot/kProbeAck/kAllReduceChunk variants are
@@ -426,149 +177,73 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
       case comm::MessageType::kOptimizerStep: {
         // Forward-only passes (profiling) leave tapes that never receive a
         // backward; the step boundary retires them (and their pins).
-        if (!pending_.empty()) {
-          VELA_LOG_DEBUG(tag) << "dropping " << pending_.size()
+        if (const std::size_t dropped = executor_.release_pending()) {
+          VELA_LOG_DEBUG(tag) << "dropping " << dropped
                               << " forward-only tapes at step boundary";
         }
-        release_pending();
-        partial_backward_.clear();
         // A scalar payload carries a scheduled learning rate: local expert
-        // optimizers follow the master's LR schedule. (Paged-out experts
-        // catch up when their page-in below restores / this loop sets it.)
-        const bool has_lr = msg.payload.size() == 1;
-        const auto keys = store_->keys();
-        if (!store_->bounded()) {
-          // Everything is resident: per-expert AdamW states are disjoint, so
-          // the steps run as parallel tasks; keys() is ascending, so task
-          // order is fixed expert-id order regardless of pool size.
-          std::vector<ExpertKey> stepped;
-          std::vector<nn::AdamW*> opts;
-          stepped.reserve(keys.size());
-          opts.reserve(keys.size());
-          for (const auto& k : keys) {
-            nn::AdamW* opt = store_->pin(k).optimizer.get();
-            if (opt == nullptr) {
-              store_->unpin(k);
-              continue;
-            }
-            if (has_lr) opt->set_learning_rate(msg.payload[0]);
-            stepped.push_back(k);
-            opts.push_back(opt);
-          }
-          std::vector<std::function<void()>> tasks;
-          tasks.reserve(opts.size());
-          for (nn::AdamW* opt : opts) {
-            tasks.push_back([opt] {
-              opt->step();
-              opt->zero_grad();
-            });
-          }
-          util::ThreadPool::global().run(tasks);
-          for (const auto& k : stepped) store_->unpin(k);
-        } else {
-          // Bounded store: step serially in key order, one resident expert
-          // at a time, so the pool never exceeds its budget. Per-expert
-          // updates are independent, so the result is bit-identical to the
-          // parallel path.
-          for (const auto& k : keys) {
-            store::Pinned pinned(*store_, k);
-            if (pinned.optimizer() != nullptr) {
-              if (has_lr) pinned.optimizer()->set_learning_rate(msg.payload[0]);
-              pinned.optimizer()->step();
-              pinned.optimizer()->zero_grad();
-            }
-          }
-        }
-        comm::Message reply;
+        // optimizers follow the master's LR schedule.
+        executor_.step(msg.payload.size() == 1
+                           ? std::optional<float>(msg.payload[0])
+                           : std::nullopt);
         reply.type = comm::MessageType::kOptimizerStepDone;
-        reply.request_id = msg.request_id;
         reply.step = msg.step;
-        sent = reply_and_cache(req_key, std::move(reply));
         break;
       }
       case comm::MessageType::kFetchExpert:
       case comm::MessageType::kQueryExpert: {
-        require_hosted(key);
-        comm::Message reply;
-        reply.type = comm::MessageType::kExpertState;
-        reply.request_id = msg.request_id;
-        reply.layer = msg.layer;
-        reply.expert = msg.expert;
+        executor_.require_hosted(key);
+        expert_reply(comm::MessageType::kExpertState);
         if (spec_.lora.enabled) {
-          store::Pinned pinned(*store_, key);
+          store::Pinned pinned(executor_.store(), key);
           reply.payload = pack_trainable(pinned.expert());
         }
         reply.wire_bits = spec_.wire_bits;
-        if (msg.type == comm::MessageType::kFetchExpert) store_->erase(key);
-        sent = reply_and_cache(req_key, std::move(reply));
+        if (msg.type == comm::MessageType::kFetchExpert) {
+          executor_.store().erase(key);
+        }
         break;
       }
       case comm::MessageType::kSnapshotExpert: {
-        require_hosted(key);
-        comm::Message reply;
-        reply.type = comm::MessageType::kExpertSnapshot;
-        reply.request_id = msg.request_id;
-        reply.layer = msg.layer;
-        reply.expert = msg.expert;
+        executor_.require_hosted(key);
+        expert_reply(comm::MessageType::kExpertSnapshot);
         if (spec_.lora.enabled) {
-          store::Pinned pinned(*store_, key);
+          store::Pinned pinned(executor_.store(), key);
           reply.payload =
               pack_full_state(pinned.expert(), pinned.optimizer());
         }
         reply.wire_bits = spec_.wire_bits;
-        sent = reply_and_cache(req_key, std::move(reply));
         break;
       }
       case comm::MessageType::kRestoreExpert: {
         // Recovery install (or standby refresh when already hosted): frozen
         // bases re-derive from the seed; the payload (when present) restores
         // adapters + optimizer moments.
-        if (!store_->contains(key)) install_expert(key, nullptr);
+        if (!executor_.store().contains(key)) executor_.install(key);
         if (msg.payload.size() > 0) {
-          store::Pinned pinned(*store_, key);
+          store::Pinned pinned(executor_.store(), key);
           unpack_full_state(msg.payload, pinned.expert(), pinned.optimizer());
         }
-        comm::Message reply;
-        reply.type = comm::MessageType::kRestoreExpertDone;
-        reply.request_id = msg.request_id;
-        reply.layer = msg.layer;
-        reply.expert = msg.expert;
-        sent = reply_and_cache(req_key, std::move(reply));
+        expert_reply(comm::MessageType::kRestoreExpertDone);
         break;
       }
       case comm::MessageType::kLoadExpertState: {
-        require_hosted(key);
+        executor_.require_hosted(key);
         {
-          store::Pinned pinned(*store_, key);
+          store::Pinned pinned(executor_.store(), key);
           unpack_trainable(msg.payload, pinned.expert());
         }
-        comm::Message reply;
-        reply.type = comm::MessageType::kLoadExpertStateDone;
-        reply.request_id = msg.request_id;
-        reply.layer = msg.layer;
-        reply.expert = msg.expert;
-        sent = reply_and_cache(req_key, std::move(reply));
+        expert_reply(comm::MessageType::kLoadExpertStateDone);
         break;
       }
       case comm::MessageType::kInstallExpert: {
-        if (msg.payload.size() > 0) {
-          install_expert(key, &msg.payload);
-        } else {
-          install_expert(key, nullptr);
-        }
-        comm::Message reply;
-        reply.type = comm::MessageType::kInstallExpertDone;
-        reply.request_id = msg.request_id;
-        reply.layer = msg.layer;
-        reply.expert = msg.expert;
-        sent = reply_and_cache(req_key, std::move(reply));
+        executor_.install(key,
+                          msg.payload.size() > 0 ? &msg.payload : nullptr);
+        expert_reply(comm::MessageType::kInstallExpertDone);
         break;
       }
       case comm::MessageType::kProbe: {
-        comm::Message reply;
         reply.type = comm::MessageType::kProbeAck;
-        reply.request_id = msg.request_id;
-        sent = reply_and_cache(req_key, std::move(reply));
         break;
       }
       case comm::MessageType::kStorePriorities: {
@@ -591,11 +266,8 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
                 msg.payload[l * experts + e]);
           }
         }
-        store_->set_priorities(priorities);
-        comm::Message reply;
+        executor_.store().set_priorities(priorities);
         reply.type = comm::MessageType::kStorePrioritiesDone;
-        reply.request_id = msg.request_id;
-        sent = reply_and_cache(req_key, std::move(reply));
         break;
       }
       case comm::MessageType::kPrefetchExperts: {
@@ -608,25 +280,19 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
           keys.push_back(ExpertKey{
               msg.layer, static_cast<std::uint32_t>(msg.payload[e])});
         }
-        store_->prefetch(keys);
-        break;
+        executor_.store().prefetch(keys);
+        continue;
       }
       case comm::MessageType::kAbortStep: {
         // Mid-step failure recovery: discard the in-flight step entirely —
         // pending tapes and any expert gradients accumulated by partial
         // backwards (resident ones now, spilled ones at their next page-in)
         // — so the retried step starts from clean state.
-        if (!pending_.empty()) {
-          VELA_LOG_DEBUG(tag) << "abort: dropping " << pending_.size()
+        if (const std::size_t dropped = executor_.abort_step()) {
+          VELA_LOG_DEBUG(tag) << "abort: dropping " << dropped
                               << " in-flight tapes";
         }
-        release_pending();
-        partial_backward_.clear();
-        store_->zero_all_grads();
-        comm::Message reply;
         reply.type = comm::MessageType::kAbortStepDone;
-        reply.request_id = msg.request_id;
-        sent = reply_and_cache(req_key, std::move(reply));
         break;
       }
       case comm::MessageType::kCrash: {
@@ -634,9 +300,7 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
         // directions die and all hosted state is lost — including every
         // paged image, which is why a respawned worker's store starts empty.
         VELA_LOG_ERROR(tag) << "injected crash: simulating worker death";
-        store_->clear();
-        pending_.clear();
-        partial_backward_.clear();
+        executor_.clear();
         link_->to_master.close();
         link_->to_worker.close();
         return false;
@@ -649,7 +313,7 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
         VELA_CHECK_MSG(false, "worker received unexpected message "
                                   << msg.to_string());
     }
-    if (!sent) {
+    if (!reply_and_cache(dedupe_key(msg), std::move(reply))) {
       // The master-side channel is gone (severed link or master teardown):
       // a structured death instead of silently computing into the void.
       VELA_LOG_ERROR(tag) << "reply channel closed; worker terminating";

@@ -1,19 +1,14 @@
 // The Expert Manager process of Fig. 4, realized as a thread.
 //
-// A worker owns a subset of the model's experts, serves forward requests
-// (keeping the local autograd tape alive per request), resumes backward
-// passes when the master ships output gradients, and runs a *local* AdamW
-// per expert at the end of every step — no gradient ever leaves the worker,
-// which is precisely how VELA avoids data parallelism's all-reduce.
-//
-// Expert state lives in a store::ExpertStore (DESIGN.md §15), not in the
-// worker itself: with VELA_EXPERT_BUDGET unset the InMemoryStore backend
-// reproduces the old everything-resident semantics bit for bit; with a
-// budget the PagedStore spills cold experts to disk. The worker pins an
-// expert for exactly the window where its resident object carries state a
-// paged image cannot — a live autograd tape, forward through backward
-// retire — and keeps all pin bookkeeping on the worker thread, so the
-// parallel compute tasks below only ever touch pinned experts.
+// A worker owns a subset of the model's experts and trains them locally: no
+// gradient ever leaves the worker, which is precisely how VELA avoids data
+// parallelism's all-reduce. The expert state and compute — store, forward
+// tapes and their pins, fragment trains, grouped backward, the local AdamW
+// step — live in the shared core::ExpertExecutor (core/expert_executor.h),
+// the same executor the EP baseline's expert server runs. The worker keeps
+// the transport around it: the master link, batching of compute runs, the
+// reply cache, and the control plane (fetch, snapshot, restore, install,
+// store priorities, prefetch, abort, crash).
 //
 // Request handling is idempotent: every (type, request id) pair is served at
 // most once and its reply cached, so a master retransmission (after a lost
@@ -24,18 +19,13 @@
 #pragma once
 
 #include <deque>
-#include <map>
-#include <memory>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "autograd/variable.h"
 #include "comm/endpoint.h"
+#include "core/expert_executor.h"
 #include "core/protocol.h"
-#include "nn/expert.h"
-#include "nn/optimizer.h"
-#include "store/expert_store.h"
 
 namespace vela::comm {
 class TrafficMeter;
@@ -66,26 +56,13 @@ class ExpertWorker {
 
   const WorkerSpec& spec() const { return spec_; }
   // Thread-unsafe introspection; call only after join() (tests).
-  std::size_t experts_hosted() const { return store_->size(); }
+  std::size_t experts_hosted() const { return executor_.store().size(); }
   std::size_t requests_served() const { return requests_served_; }
   std::size_t duplicates_replayed() const { return duplicates_replayed_; }
   std::size_t corrupt_dropped() const { return corrupt_dropped_; }
-  const store::ExpertStore& expert_store() const { return *store_; }
+  const store::ExpertStore& expert_store() const { return executor_.store(); }
 
  private:
-  struct PendingRequest {
-    ExpertKey key;
-    ag::Variable input;
-    ag::Variable output;
-  };
-  // Backward fragments of one logical transfer (the master's VELA_OVERLAP
-  // dispatch pipeline) collected until the train is complete; keyed by
-  // chunk index, so iteration is chunk order. May span worker batches.
-  struct PartialTrain {
-    std::size_t chunk_count = 0;
-    std::map<std::size_t, comm::Message> fragments;
-  };
-
   void run();
   void run_loop(const std::string& tag);
   // Drains and handles one batch of messages. Consecutive forward (resp.
@@ -94,24 +71,6 @@ class ExpertWorker {
   // Returns false when the worker must terminate (closed channel, shutdown
   // or injected crash).
   bool process_batch(std::vector<comm::Message> batch, const std::string& tag);
-  // Computes a run of forward (backward) requests in parallel and sends the
-  // replies in arrival order. Backward runs are grouped by expert id so each
-  // expert's gradient accumulation stays sequential (and so deterministic).
-  bool handle_forward_run(std::vector<comm::Message>& run);
-  bool handle_backward_run(std::vector<comm::Message>& run);
-  // Backpropagates a complete fragment train through ONE full-batch tape
-  // (forward recomputed on the concatenated chunks — the expert kernels are
-  // row-local, so values match the per-chunk tapes bit-for-bit) and replies
-  // per fragment in chunk order. Keeps the LoRA gradient accumulation order
-  // identical to the unchunked exchange.
-  bool stitched_backward(std::uint64_t base_id, PartialTrain train);
-  void install_expert(const ExpertKey& key, const Tensor* state);
-  // CheckError (with the historical message) when the store does not host
-  // `key` — the protocol-violation death the master observes as silence.
-  void require_hosted(const ExpertKey& key) const;
-  // Unpins every pending request's expert and drops the tapes (step
-  // boundary, abort).
-  void release_pending();
   // Sends a reply and caches a copy under `key` for idempotent replay.
   // Returns false when the master-side channel is gone (terminate loop).
   bool reply_and_cache(std::uint64_t key, comm::Message reply);
@@ -122,20 +81,8 @@ class ExpertWorker {
   }
 
   WorkerSpec spec_;
-  // Dispatch-payload codec resolved from the spec (comm/wire_codec.h) —
-  // necessarily the same resolution the master's broker performed. Applies
-  // to compute replies only; state/snapshot replies stay raw fp32.
-  comm::WireCodec codec_;
   comm::DuplexLink* link_;
-  std::unique_ptr<store::ExpertStore> store_;
-  // Every pending request holds one pin on its expert: the tape references
-  // the expert's parameter nodes, so eviction before the backward retires
-  // would orphan the gradients the backward is about to accumulate.
-  std::unordered_map<std::uint64_t, PendingRequest> pending_;
-  // Incomplete backward fragment trains, keyed by the train's base request
-  // id (fragment ids are consecutive: base + chunk_index). Cleared with
-  // pending_ at step boundaries and aborts.
-  std::unordered_map<std::uint64_t, PartialTrain> partial_backward_;
+  ExpertExecutor executor_;
   // (request type, request id) → cached reply, bounded FIFO.
   std::unordered_map<std::uint64_t, comm::Message> reply_cache_;
   std::deque<std::uint64_t> reply_cache_order_;

@@ -4,15 +4,14 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <optional>
+#include <span>
 #include <thread>
-#include <unordered_map>
 
 #include "autograd/ops.h"
 #include "comm/phase_ledger.h"
-#include "core/protocol.h"
+#include "core/expert_executor.h"
 #include "moe/moe_block.h"
-#include "nn/expert.h"
-#include "store/expert_store.h"
 #include "util/audit.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -23,9 +22,16 @@ namespace {
 
 using core::ExpertKey;
 
+store::StoreConfig unbounded_store() {
+  store::StoreConfig cfg;
+  cfg.budget = 0;  // unbounded, bypasses the env resolution
+  return cfg;
+}
+
 // ---------------------------------------------------------------------------
-// Expert server: hosts this shard's expert slice and serves forward/backward
-// requests from every peer (including its own shard).
+// Expert server: hosts this shard's expert slice on a core::ExpertExecutor
+// and serves forward/backward requests from every peer (including its own
+// shard), routing each reply back to its source.
 // ---------------------------------------------------------------------------
 class ExpertServer {
  public:
@@ -34,44 +40,31 @@ class ExpertServer {
                std::size_t num_shards, comm::Endpoint* inbox,
                std::vector<comm::Endpoint*> reply)
       : shard_(shard),
-        cfg_(cfg),
-        codec_(comm::WireCodec::resolve(cfg.wire_dtype, cfg.wire_bits,
-                                        /*legacy_quantize=*/false,
-                                        cfg.q8_block)),
         inbox_(inbox),
-        reply_(std::move(reply)) {
-    // Expert ownership lives in an ExpertStore like the VELA worker's — but
-    // always the unbounded InMemoryStore: expert parallelism has no
-    // locality signal to page against (every shard owns a fixed stripe and
-    // every step touches all of it), so the EP baseline keeps its whole
-    // slice resident by construction.
-    store::StoreConfig store_cfg;
-    store_cfg.budget = 0;  // unbounded, bypasses the env resolution
-    store_ = store::make_expert_store(
-        store_cfg, [this](const ExpertKey& key) {
-          Rng rng(nn::expert_seed(cfg_.seed, key.layer, key.expert));
-          store::ExpertSlot slot;
-          slot.expert = std::make_unique<nn::SwiGLUExpert>(
-              "layer" + std::to_string(key.layer) + ".expert" +
-                  std::to_string(key.expert),
-              cfg_.model.model_dim, cfg_.model.hidden_dim, cfg_.model.lora,
-              rng);
-          if (codec_.is_int8()) {
-            slot.expert->enable_q8_compute(codec_.block);
-          }
-          if (cfg_.model.lora.enabled) {
-            slot.optimizer = std::make_unique<nn::AdamW>(
-                slot.expert->trainable_parameters(), cfg_.adamw);
-          }
-          return slot;
-        });
+        reply_(std::move(reply)),
+        // Always the unbounded InMemoryStore: expert parallelism has no
+        // locality signal to page against (every shard owns a fixed stripe
+        // and every step touches all of it), so the EP baseline keeps its
+        // whole slice resident by construction.
+        executor_(unbounded_store(), cfg.seed,
+                  cfg.model.model_dim, cfg.model.hidden_dim, cfg.model.lora,
+                  cfg.adamw,
+                  comm::WireCodec::resolve(cfg.wire_dtype, cfg.wire_bits,
+                                           /*legacy_quantize=*/false,
+                                           cfg.q8_block),
+                  static_cast<std::uint32_t>(shard),
+                  [this](const ExpertKey& key, std::uint32_t source,
+                         store::ExpertSlot& slot) {
+                    stage_grads(key, source, slot);
+                  }) {
     for (std::size_t l = 0; l < num_layers; ++l) {
       for (std::size_t e = shard; e < num_experts; e += num_shards) {
         const ExpertKey key{static_cast<std::uint32_t>(l),
                             static_cast<std::uint32_t>(e)};
-        store_->emplace(key);
-        aux_[key].trainable = store_->pin(key).expert->trainable_parameters();
-        store_->unpin(key);
+        executor_.install(key);
+        // Created up front: backward tasks of distinct experts look their
+        // entries up concurrently, so the map itself never changes shape.
+        staged_[key];
       }
     }
   }
@@ -83,28 +76,23 @@ class ExpertServer {
   }
 
  private:
-  // EP-only sidecar state the ExpertStore does not model, keyed parallel to
-  // the store's experts.
-  struct Aux {
-    // Cached trainable-parameter handles, in registration order — the
-    // staging slots below are parallel arrays over this list. Stable for
-    // the server's lifetime because the InMemoryStore never evicts.
-    std::vector<nn::Parameter> trainable;
-    // Per-source-shard gradient deltas staged during the step and folded
-    // into the parameter grads in ascending source order at
-    // kOptimizerStep time. Backward requests from different shards race
-    // into the server inbox; accumulating them in arrival order made the
-    // summed gradient (and therefore the whole trajectory) depend on
-    // thread scheduling. Staging by source restores bit-determinism.
-    std::map<std::uint32_t, std::vector<Tensor>> staged;
-  };
-  struct Pending {
-    ag::Variable input;
-    ag::Variable output;
+  // Per-source-shard gradient deltas of one expert, staged during the step
+  // and folded into the parameter grads in ascending source order at
+  // kOptimizerStep time. Backward requests from different shards race into
+  // the server inbox; accumulating them in arrival order made the summed
+  // gradient (and therefore the whole trajectory) depend on thread
+  // scheduling. Staging by source restores bit-determinism.
+  struct Staged {
+    const std::vector<nn::Parameter>* params = nullptr;  // the optimizer's
+    std::map<std::uint32_t, std::vector<Tensor>> by_source;
   };
 
   void run() {
     const std::string tag = "ep-server/" + std::to_string(shard_);
+    const auto send = [this](const comm::Message& request,
+                             comm::Message reply) {
+      return reply_[request.source]->send(std::move(reply));
+    };
     try {
       while (true) {
         auto maybe = inbox_->receive();
@@ -126,11 +114,10 @@ class ExpertServer {
               type == comm::MessageType::kExpertBackward) {
             std::size_t j = i;
             while (j < batch.size() && batch[j].type == type) ++j;
-            if (type == comm::MessageType::kExpertForward) {
-              handle_forward_run(batch, i, j);
-            } else {
-              handle_backward_run(batch, i, j);
-            }
+            const std::span<comm::Message> compute(batch.data() + i, j - i);
+            VELA_CHECK(type == comm::MessageType::kExpertForward
+                           ? executor_.forward(compute, send)
+                           : executor_.backward(compute, send));
             i = j;
             continue;
           }
@@ -145,196 +132,67 @@ class ExpertServer {
     }
   }
 
-  // Computes batch[b, e) — all kExpertForward — as parallel tasks. Forwards
-  // only read expert weights and each task owns its request payload and
-  // output slot, so concurrent requests (even for the same expert) are safe.
-  void handle_forward_run(std::vector<comm::Message>& batch, std::size_t b,
-                          std::size_t e) {
-    const std::size_t count = e - b;
-    // Serial semantics on an unowned expert: every request before it still
-    // replies; truncate, compute the prefix, then raise for the offender.
-    std::size_t valid = count;
-    for (std::size_t k = 0; k < count; ++k) {
-      if (!store_->contains({batch[b + k].layer, batch[b + k].expert})) {
-        valid = k;
-        break;
-      }
-    }
-    struct Slot {
-      ag::Variable x;
-      ag::Variable y;
-      comm::Message reply;
-    };
-    std::vector<Slot> slots(valid);
-    // Resolve expert handles on the server thread (store bookkeeping is not
-    // thread-safe); the parallel tasks below touch only the raw pointers.
-    std::vector<nn::SwiGLUExpert*> experts(valid);
-    for (std::size_t k = 0; k < valid; ++k) {
-      const ExpertKey key{batch[b + k].layer, batch[b + k].expert};
-      experts[k] = store_->pin(key).expert.get();
-      store_->unpin(key);  // InMemoryStore: never evicts, pointer stays valid
-    }
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(valid);
-    for (std::size_t k = 0; k < valid; ++k) {
-      tasks.push_back([this, &batch, &slots, &experts, b, k] {
-        comm::Message& msg = batch[b + k];
-        Slot& s = slots[k];
-        nn::SwiGLUExpert& expert = *experts[k];
-        s.x = ag::Variable::leaf(std::move(msg.payload),
-                                 /*requires_grad=*/true);
-        s.y = expert.forward(s.x);
-        comm::Message reply;
-        reply.type = comm::MessageType::kExpertForwardResult;
-        reply.request_id = msg.request_id;
-        reply.source = static_cast<std::uint32_t>(shard_);
-        reply.layer = msg.layer;
-        reply.expert = msg.expert;
-        reply.payload = codec_.apply(s.y.value());
-        codec_.stamp(reply);
-        s.reply = std::move(reply);
-      });
-    }
-    util::ThreadPool::global().run(tasks);
-    for (std::size_t k = 0; k < valid; ++k) {
-      pending_.emplace(batch[b + k].request_id, Pending{slots[k].x, slots[k].y});
-      VELA_CHECK(reply_[batch[b + k].source]->send(std::move(slots[k].reply)));
-    }
-    if (valid < count) {
-      VELA_CHECK_MSG(false, "shard " << shard_ << " does not own expert "
-                                     << core::to_string(ExpertKey{
-                                            batch[b + valid].layer,
-                                            batch[b + valid].expert}));
-    }
-  }
-
-  // Moves the parameter-gradient delta the last backward_from produced into
-  // the expert's per-source staging slot and re-zeroes the shared buffers.
-  // The cross-source summation order is thereby fixed at fold time
-  // (ascending source id, see kOptimizerStep) instead of inheriting the
-  // nondeterministic message arrival order.
-  static void stage_grads(Aux& aux, std::uint32_t source) {
-    auto& slot = aux.staged[source];
-    const bool fresh = slot.empty();
-    if (fresh) slot.reserve(aux.trainable.size());
-    for (std::size_t i = 0; i < aux.trainable.size(); ++i) {
-      ag::Variable& p = aux.trainable[i].var;
+  // The executor's backward hook (a pool lane, inside the expert's own
+  // task): moves the parameter-gradient delta the last backward_from
+  // produced into the expert's per-source staging slot and re-zeroes the
+  // shared buffers. The cross-source summation order is thereby fixed at
+  // fold time instead of inheriting the message arrival order.
+  void stage_grads(const ExpertKey& key, std::uint32_t source,
+                   store::ExpertSlot& slot) {
+    if (slot.optimizer == nullptr) return;  // frozen expert: no gradients
+    Staged& staged = staged_.at(key);
+    staged.params = &slot.optimizer->params();
+    std::vector<Tensor>& deltas = staged.by_source[source];
+    const bool fresh = deltas.empty();
+    for (std::size_t i = 0; i < staged.params->size(); ++i) {
+      ag::Variable p = (*staged.params)[i].var;
       if (fresh) {
-        slot.push_back(p.has_grad() ? p.grad()
-                                    : Tensor::zeros(p.value().shape()));
+        deltas.push_back(p.has_grad() ? p.grad()
+                                      : Tensor::zeros(p.value().shape()));
       } else if (p.has_grad()) {
-        Tensor& acc = slot[i];
-        const Tensor& g = p.grad();
-        for (std::size_t j = 0; j < acc.size(); ++j) {
-          acc.data()[j] += g.data()[j];
-        }
+        deltas[i].add_(p.grad());
       }
       p.zero_grad();
     }
   }
 
-  // Computes batch[b, e) — all kExpertBackward. Backwards for the same
-  // expert share LoRA gradient buffers and a staging slot, so they stay
-  // sequential within one task; distinct experts touch disjoint parameter
-  // nodes and run in parallel.
-  void handle_backward_run(std::vector<comm::Message>& batch, std::size_t b,
-                           std::size_t e) {
-    const std::size_t count = e - b;
-    std::size_t valid = count;
-    for (std::size_t k = 0; k < count; ++k) {
-      if (pending_.count(batch[b + k].request_id) == 0) {
-        valid = k;
-        break;
-      }
-    }
-    struct Slot {
-      Pending req;
-      comm::Message reply;
-    };
-    std::vector<Slot> slots(valid);
-    std::map<ExpertKey, std::vector<std::size_t>> groups;
-    for (std::size_t k = 0; k < valid; ++k) {
-      auto it = pending_.find(batch[b + k].request_id);
-      slots[k].req = std::move(it->second);
-      pending_.erase(it);
-      groups[{batch[b + k].layer, batch[b + k].expert}].push_back(k);
-    }
+  // Folds every expert's staged deltas into its parameter grads in
+  // ascending source order (by_source is a std::map), one parallel task per
+  // expert — the summed gradient is independent of arrival order.
+  void fold_staged() {
     std::vector<std::function<void()>> tasks;
-    tasks.reserve(groups.size());
-    for (auto& [key, indices] : groups) {
-      Aux& aux = aux_.at(key);
-      tasks.push_back([this, &batch, &slots, &aux, b,
-                       &indices = indices] {
-        for (const std::size_t k : indices) {
-          comm::Message& msg = batch[b + k];
-          Slot& s = slots[k];
-          ag::backward_from(s.req.output, msg.payload);
-          stage_grads(aux, msg.source);
-          comm::Message reply;
-          reply.type = comm::MessageType::kExpertBackwardResult;
-          reply.request_id = msg.request_id;
-          reply.source = static_cast<std::uint32_t>(shard_);
-          reply.layer = msg.layer;
-          reply.expert = msg.expert;
-          reply.payload = codec_.apply(s.req.input.grad());
-          codec_.stamp(reply);
-          s.reply = std::move(reply);
+    for (auto& [key, staged] : staged_) {
+      if (staged.by_source.empty()) continue;
+      tasks.push_back([&staged = staged] {
+        for (std::size_t i = 0; i < staged.params->size(); ++i) {
+          auto source = staged.by_source.begin();
+          Tensor total = std::move(source->second[i]);
+          while (++source != staged.by_source.end()) {
+            total.add_(source->second[i]);
+          }
+          ag::Variable p = (*staged.params)[i].var;
+          p.set_grad(std::move(total));
         }
+        staged.by_source.clear();
       });
     }
     util::ThreadPool::global().run(tasks);
-    for (std::size_t k = 0; k < valid; ++k) {
-      VELA_CHECK(reply_[batch[b + k].source]->send(std::move(slots[k].reply)));
-    }
-    VELA_CHECK_MSG(valid == count, "EP backward for unknown request "
-                                       << batch[b + valid].request_id);
   }
 
   void handle(comm::Message msg) {
     // The EP baseline speaks a two-message subset of the protocol: compute
-    // requests are drained batch-wise by run_forward_batch/
-    // run_backward_batch before handle() sees them, leaving only the step
-    // boundary here; every locality-placement message type is meaningless
-    // under expert parallelism and lands on the default: abort.
+    // requests are drained run-wise into the executor before handle() sees
+    // them, leaving only the step boundary here; every locality-placement
+    // message type is meaningless under expert parallelism and lands on the
+    // default: abort.
     // vela-analyze: allow(partial-dispatch)
     switch (msg.type) {
       case comm::MessageType::kOptimizerStep: {
         // Forward-only passes (evaluation) leave tapes without a backward;
         // the step boundary retires them.
-        pending_.clear();
-        // Disjoint per-expert AdamW states step as parallel tasks, in fixed
-        // expert-id order (store keys() is ascending). Handles resolve on
-        // the server thread; the tasks only touch their own expert's state.
-        std::vector<std::function<void()>> tasks;
-        for (const ExpertKey& key : store_->keys()) {
-          nn::AdamW* opt = store_->pin(key).optimizer.get();
-          store_->unpin(key);
-          if (opt == nullptr) continue;
-          tasks.push_back([opt, &aux = aux_.at(key)] {
-            // Fold the staged per-source gradient deltas in ascending
-            // source order (staged is a std::map) — the summed gradient
-            // is now independent of backward-request arrival order.
-            for (std::size_t i = 0; i < aux.trainable.size(); ++i) {
-              Tensor total;
-              for (auto& [source, grads] : aux.staged) {
-                if (total.size() == 0) {
-                  total = grads[i];
-                } else {
-                  for (std::size_t j = 0; j < total.size(); ++j) {
-                    total.data()[j] += grads[i].data()[j];
-                  }
-                }
-              }
-              if (total.size() > 0) {
-                aux.trainable[i].var.set_grad(std::move(total));
-              }
-            }
-            aux.staged.clear();
-            opt->step();
-            opt->zero_grad();
-          });
-        }
-        util::ThreadPool::global().run(tasks);
+        executor_.release_pending();
+        fold_staged();
+        executor_.step(std::nullopt);
         comm::Message reply;
         reply.type = comm::MessageType::kOptimizerStepDone;
         reply.request_id = msg.request_id;
@@ -349,14 +207,10 @@ class ExpertServer {
   }
 
   std::size_t shard_;
-  const EpRuntimeConfig& cfg_;
-  // Compute-reply codec; resolved identically on every shard.
-  comm::WireCodec codec_;
   comm::Endpoint* inbox_;
   std::vector<comm::Endpoint*> reply_;  // [source shard]
-  std::unique_ptr<store::ExpertStore> store_;
-  std::map<ExpertKey, Aux> aux_;  // EP sidecar state, parallel to store_
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  core::ExpertExecutor executor_;
+  std::map<ExpertKey, Staged> staged_;  // one entry per hosted expert
   std::thread thread_;
 };
 

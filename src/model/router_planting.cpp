@@ -6,15 +6,15 @@
 
 namespace vela::model {
 
-PlantedRouting plant_locality(MoETransformer& model,
-                              const data::SyntheticCorpus& corpus,
-                              const PlantingConfig& cfg) {
+moe::PlantedRouting plant_locality(MoETransformer& model,
+                                   const data::SyntheticCorpus& corpus,
+                                   const PlantingConfig& cfg) {
   const ModelConfig& mc = model.config();
   const std::size_t domains = corpus.num_domains();
   VELA_CHECK_MSG(domains <= mc.model_dim,
                  "planting needs one embedding dim per domain");
 
-  PlantedRouting routing = PlantedRouting::generate(
+  moe::PlantedRouting routing = moe::PlantedRouting::generate(
       mc.num_layers, mc.num_experts, domains, cfg.popularity_zipf, cfg.seed);
 
   // 1) Embedding: add a strong component on the domain-signal coordinate.

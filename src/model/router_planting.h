@@ -24,10 +24,6 @@
 
 namespace vela::model {
 
-// Back-compat alias: the ground-truth type predates the moe/ split and is
-// named model::PlantedRouting throughout the tests/benches.
-using PlantedRouting = moe::PlantedRouting;
-
 struct PlantingConfig {
   double popularity_zipf = 1.0;  // expert popularity skew within a block
   float embed_gain = 4.0f;       // domain-signal strength in embeddings
@@ -49,8 +45,8 @@ struct PlantingConfig {
 // Writes the planted bias into a runnable model's embedding and gate weights
 // and damps the attention residual noise. Returns the ground-truth routing.
 // Requires corpus.num_domains() <= model_dim.
-PlantedRouting plant_locality(MoETransformer& model,
-                              const data::SyntheticCorpus& corpus,
-                              const PlantingConfig& cfg);
+moe::PlantedRouting plant_locality(MoETransformer& model,
+                                   const data::SyntheticCorpus& corpus,
+                                   const PlantingConfig& cfg);
 
 }  // namespace vela::model

@@ -30,6 +30,7 @@ class Optimizer {
 
   void zero_grad();
   std::size_t num_params() const { return params_.size(); }
+  const std::vector<Parameter>& params() const { return params_; }
 
  protected:
   std::vector<Parameter> params_;

@@ -1,9 +1,9 @@
 // ExpertStore — the single owner of hosted expert state (DESIGN.md §15).
 //
-// Every runtime that used to hold a `std::map<ExpertKey, {expert, AdamW}>`
-// (the expert worker, the EP expert server) now holds an ExpertStore handle
-// instead, so migration, recovery, checkpointing and paging all flow through
-// one chokepoint. Two backends:
+// The one runtime component that hosts experts, core::ExpertExecutor (run
+// by both the VELA expert worker and the EP expert server), holds an
+// ExpertStore, so migration, recovery, checkpointing and paging all flow
+// through one chokepoint. Two backends:
 //
 //   InMemoryStore  every hosted expert stays resident — byte-for-byte the
 //                  pre-store semantics, and the default.
@@ -12,7 +12,7 @@
 //                  (paged_store.h).
 //
 // Access protocol: pin() pages the expert in (if needed) and holds it
-// resident until the matching unpin(). The worker pins for exactly the
+// resident until the matching unpin(). The executor pins for exactly the
 // lifetime of the state an expert's resident object carries that its paged
 // image cannot: a live autograd tape (forward → backward retire). Between
 // pins an expert is evictable because pack_paged_state captures everything

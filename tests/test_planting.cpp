@@ -13,7 +13,7 @@ namespace vela {
 namespace {
 
 TEST(PlantedRouting, GenerateShapesAndDistinctPairs) {
-  auto routing = model::PlantedRouting::generate(4, 6, 8, 1.0, 1);
+  auto routing = moe::PlantedRouting::generate(4, 6, 8, 1.0, 1);
   EXPECT_EQ(routing.num_layers(), 4u);
   EXPECT_EQ(routing.num_experts(), 6u);
   EXPECT_EQ(routing.num_domains(), 8u);
@@ -28,8 +28,8 @@ TEST(PlantedRouting, GenerateShapesAndDistinctPairs) {
 }
 
 TEST(PlantedRouting, DeterministicInSeed) {
-  auto a = model::PlantedRouting::generate(3, 4, 5, 1.0, 7);
-  auto b = model::PlantedRouting::generate(3, 4, 5, 1.0, 7);
+  auto a = moe::PlantedRouting::generate(3, 4, 5, 1.0, 7);
+  auto b = moe::PlantedRouting::generate(3, 4, 5, 1.0, 7);
   for (std::size_t l = 0; l < 3; ++l) {
     for (std::size_t d = 0; d < 5; ++d) {
       EXPECT_EQ(a.preference(l, d), b.preference(l, d));
@@ -38,7 +38,7 @@ TEST(PlantedRouting, DeterministicInSeed) {
 }
 
 TEST(PlantedRouting, HotExpertsVaryAcrossLayers) {
-  auto routing = model::PlantedRouting::generate(8, 8, 16, 1.2, 3);
+  auto routing = moe::PlantedRouting::generate(8, 8, 16, 1.2, 3);
   // Count each layer's most popular primary expert; they should not all be
   // the same expert id.
   std::vector<std::size_t> tops;
@@ -56,7 +56,7 @@ TEST(PlantedRouting, HotExpertsVaryAcrossLayers) {
 }
 
 TEST(PlantedRouting, ExpectedProbabilityRowsSumToTwo) {
-  auto routing = model::PlantedRouting::generate(3, 5, 6, 1.0, 2);
+  auto routing = moe::PlantedRouting::generate(3, 5, 6, 1.0, 2);
   std::vector<double> dist(6, 1.0 / 6.0);
   Tensor p = routing.expected_probability(dist);
   for (std::size_t l = 0; l < 3; ++l) {
@@ -67,7 +67,7 @@ TEST(PlantedRouting, ExpectedProbabilityRowsSumToTwo) {
 }
 
 TEST(PlantedRouting, SkewedDomainsYieldSkewedExperts) {
-  auto routing = model::PlantedRouting::generate(1, 6, 6, 1.5, 4);
+  auto routing = moe::PlantedRouting::generate(1, 6, 6, 1.5, 4);
   std::vector<double> dist{0.7, 0.1, 0.05, 0.05, 0.05, 0.05};
   Tensor p = routing.expected_probability(dist);
   float mx = 0.0f, mn = 1.0f;
@@ -104,7 +104,7 @@ class PlantedModelTest : public ::testing::Test {
   std::unique_ptr<data::SyntheticCorpus> corpus_;
   std::unique_ptr<moe::LocalExpertBackend> backend_;
   std::unique_ptr<model::MoETransformer> model_;
-  model::PlantedRouting routing_;
+  moe::PlantedRouting routing_;
 };
 
 TEST_F(PlantedModelTest, AccessFrequencyIsVisiblySkewed) {

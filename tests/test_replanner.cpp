@@ -21,7 +21,7 @@ cluster::ClusterTopology topo() {
   return cluster::ClusterTopology(cluster::ClusterConfig::paper_testbed());
 }
 
-moe::SyntheticRouter make_router(const model::PlantedRouting* routing,
+moe::SyntheticRouter make_router(const moe::PlantedRouting* routing,
                                  double noise, std::uint64_t seed) {
   moe::SyntheticRouterConfig cfg;
   cfg.domain_dist.assign(routing->num_domains(), 1.0);
@@ -35,8 +35,8 @@ TEST(Replanner, WindowedProbabilityMatchesObservedCounts) {
   auto cfg = shape();
   auto topology = topo();
   core::Replanner replanner({10, 4, 0.0, 1.34}, cfg, &topology, 256.0);
-  auto routing = model::PlantedRouting::generate(cfg.num_layers,
-                                                 cfg.num_experts, 8, 1.0, 1);
+  auto routing = moe::PlantedRouting::generate(cfg.num_layers,
+                                               cfg.num_experts, 8, 1.0, 1);
   auto router = make_router(&routing, 0.05, 2);
   for (int i = 0; i < 4; ++i) replanner.observe(router.sample_step(256));
 
@@ -66,8 +66,8 @@ TEST(Replanner, NoReplanBeforeWindowFull) {
   auto cfg = shape();
   auto topology = topo();
   core::Replanner replanner({2, 8, 0.0, 1.34}, cfg, &topology, 256.0);
-  auto routing = model::PlantedRouting::generate(cfg.num_layers,
-                                                 cfg.num_experts, 8, 1.0, 3);
+  auto routing = moe::PlantedRouting::generate(cfg.num_layers,
+                                               cfg.num_experts, 8, 1.0, 3);
   auto router = make_router(&routing, 0.05, 4);
   placement::Placement seq(cfg.num_layers, cfg.num_experts);
   for (std::size_t l = 0; l < cfg.num_layers; ++l) {
@@ -86,8 +86,8 @@ TEST(Replanner, ReplansAwayFromSequentialUnderLocality) {
   auto cfg = shape();
   auto topology = topo();
   core::Replanner replanner({4, 4, 0.02, 1.34}, cfg, &topology, 256.0);
-  auto routing = model::PlantedRouting::generate(cfg.num_layers,
-                                                 cfg.num_experts, 8, 1.3, 5);
+  auto routing = moe::PlantedRouting::generate(cfg.num_layers,
+                                               cfg.num_experts, 8, 1.3, 5);
   auto router = make_router(&routing, 0.03, 6);
   placement::Placement seq(cfg.num_layers, cfg.num_experts);
   for (std::size_t l = 0; l < cfg.num_layers; ++l) {
@@ -112,8 +112,8 @@ TEST(Replanner, HysteresisKeepsGoodPlacement) {
   auto cfg = shape();
   auto topology = topo();
   core::Replanner replanner({4, 4, 0.15, 1.34}, cfg, &topology, 256.0);
-  auto routing = model::PlantedRouting::generate(cfg.num_layers,
-                                                 cfg.num_experts, 8, 1.3, 7);
+  auto routing = moe::PlantedRouting::generate(cfg.num_layers,
+                                               cfg.num_experts, 8, 1.3, 7);
   auto router = make_router(&routing, 0.03, 8);
 
   // Warm the window, take the replanner's own proposal...

@@ -207,7 +207,11 @@ TEST(SessionResume, ConcurrentReceiverSurvivesRepeatedSevers) {
   comm::ConnectionScript script;
   // Full-record cuts while the receiver is actively draining: the replay
   // may race a delivery that already happened, which is exactly what the
-  // receiver-side sequence dedupe is for.
+  // receiver-side sequence dedupe is for. A full-record cut therefore need
+  // not replay anything — when the receiver has parsed the record before
+  // the fresh connection's hello, the hello already covers it. Only the
+  // mid-record cut at frame 25 must replay: the receiver cannot hold a
+  // record of which 7 bytes arrived.
   const std::size_t record_len = comm::kSessionDataOverheadBytes + 24;
   script.severs.push_back({10, record_len});
   script.severs.push_back({25, 7});
@@ -235,7 +239,7 @@ TEST(SessionResume, ConcurrentReceiverSurvivesRepeatedSevers) {
   const comm::SessionStats stats = transport.session_stats();
   EXPECT_EQ(stats.severs_injected, 3u);
   EXPECT_EQ(stats.reconnects, 3u);
-  EXPECT_GE(stats.replayed_frames, 3u);
+  EXPECT_GE(stats.replayed_frames, 1u);
 }
 
 // --- reconnect schedule ------------------------------------------------------

@@ -19,7 +19,7 @@ std::string temp_path(const std::string& name) {
 }
 
 moe::RoutingTrace sample_trace(std::size_t steps, std::size_t tokens = 32) {
-  auto routing = model::PlantedRouting::generate(3, 6, 8, 1.1, 5);
+  auto routing = moe::PlantedRouting::generate(3, 6, 8, 1.1, 5);
   moe::SyntheticRouterConfig cfg;
   cfg.domain_dist.assign(8, 1.0);
   cfg.domain_dist[0] = 4.0;
