@@ -50,7 +50,7 @@ inline DegradeRunStats emit_degrade_recovery(const std::string& setting_name,
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 3;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   cfg.clock.compute_seconds = 0.5;
 
   data::SyntheticCorpus corpus(

@@ -35,7 +35,7 @@ int main() {
 
   // Companion accountants replay the live routing through the baselines.
   core::VelaTrafficModelConfig tm;
-  tm.bytes_per_token = cfg.model.model_dim * cfg.wire_bits / 8;
+  tm.bytes_per_token = cfg.model.bytes_per_token();
   core::VelaTrafficModel traffic(&vela.topology(), tm);
   placement::PlacementProblem problem = core::build_placement_problem(
       vela.profiled_stats()->probability_matrix(), cfg.model, vela.topology(),

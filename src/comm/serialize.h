@@ -60,10 +60,6 @@ static_assert(wire::kTypeBytes + wire::kWireBitsBytes +
                   Message::kHeaderBytes,
               "wire header fields must sum to Message::kHeaderBytes");
 
-// IEEE 754 binary16 conversion (round-to-nearest-even, overflow → ±inf).
-std::uint16_t float_to_half(float value);
-float half_to_float(std::uint16_t half);
-
 // Encodes a message to its wire representation. Phantom messages (no
 // payload, phantom_bytes set) are not encodable — they exist only for
 // accounting — and are rejected.

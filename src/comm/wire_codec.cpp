@@ -18,6 +18,8 @@ const char* wire_dtype_name(WireDtype d) {
       return "fp16";
     case WireDtype::kInt8:
       return "int8";
+    case WireDtype::kFp16Accounted:
+      return "fp16acct";
   }
   return "?";
 }
@@ -25,9 +27,10 @@ const char* wire_dtype_name(WireDtype d) {
 WireDtype parse_wire_dtype(const std::string& name) {
   if (name.empty() || name == "default") return WireDtype::kDefault;
   if (name == "fp32") return WireDtype::kFp32;
+  if (name == "fp16acct") return WireDtype::kFp16Accounted;
   if (name == "fp16") return WireDtype::kFp16;
   if (name == "int8") return WireDtype::kInt8;
-  VELA_CHECK_MSG(false, "VELA_WIRE_DTYPE must be fp32|fp16|int8, got '"
+  VELA_CHECK_MSG(false, "VELA_WIRE_DTYPE must be fp32|fp16acct|fp16|int8, got '"
                             << name << "'");
   return WireDtype::kDefault;
 }
@@ -46,56 +49,43 @@ unsigned wire_block_from_env() {
   return block;
 }
 
-WireCodec WireCodec::resolve(WireDtype requested, unsigned legacy_bits,
-                             bool legacy_quantize, unsigned requested_block) {
-  WireDtype dtype = requested;
-  if (dtype == WireDtype::kDefault) dtype = wire_dtype_from_env();
+WireCodec WireCodec::resolve(WireDtype requested, WireDtype runtime_default,
+                             unsigned requested_block) {
+  VELA_CHECK(runtime_default != WireDtype::kDefault);
   WireCodec codec;
-  switch (dtype) {
-    case WireDtype::kDefault:
-      // Pre-tier behavior, bit for bit: accounting follows the config's
-      // wire_bits; numerics follow quantize_wire (only meaningful at 16).
-      codec.dtype =
-          legacy_quantize && legacy_bits == 16 ? WireDtype::kFp16
-                                               : WireDtype::kFp32;
-      codec.bits = legacy_bits;
-      codec.transforms = codec.dtype == WireDtype::kFp16;
-      return codec;
-    case WireDtype::kFp32:
-      codec.dtype = WireDtype::kFp32;
-      codec.bits = 32;
-      codec.transforms = false;
-      return codec;
-    case WireDtype::kFp16:
-      codec.dtype = WireDtype::kFp16;
-      codec.bits = 16;
-      codec.transforms = true;
-      return codec;
-    case WireDtype::kInt8: {
-      unsigned block = requested_block;
-      if (block == 0) block = wire_block_from_env();
-      if (block == 0) block = qblock::kDefaultBlock;
-      VELA_CHECK_MSG(qblock::valid_block(block),
-                     "int8 wire block must be 32 or 64, got " << block);
-      codec.dtype = WireDtype::kInt8;
-      codec.bits = 8;
-      codec.block = block;
-      codec.transforms = true;
-      return codec;
-    }
+  codec.dtype = requested;
+  if (codec.dtype == WireDtype::kDefault) codec.dtype = wire_dtype_from_env();
+  if (codec.dtype == WireDtype::kDefault) codec.dtype = runtime_default;
+  if (codec.is_int8()) {
+    codec.block = requested_block;
+    if (codec.block == 0) codec.block = wire_block_from_env();
+    if (codec.block == 0) codec.block = qblock::kDefaultBlock;
+    VELA_CHECK_MSG(qblock::valid_block(codec.block),
+                   "int8 wire block must be 32 or 64, got " << codec.block);
   }
-  VELA_CHECK(false);
   return codec;
 }
 
-Tensor WireCodec::apply(const Tensor& payload) const {
+unsigned WireCodec::bits() const {
+  switch (dtype) {
+    case WireDtype::kInt8:
+      return 8;
+    case WireDtype::kFp16:
+    case WireDtype::kFp16Accounted:
+      return 16;
+    default:
+      return 32;
+  }
+}
+
+Tensor WireCodec::apply(Tensor payload) const {
   switch (dtype) {
     case WireDtype::kFp16:
       return ops::to_half_precision(payload);
     case WireDtype::kInt8:
       return qblock::roundtrip(payload, block);
     default:
-      return payload;  // identity copy
+      return payload;
   }
 }
 

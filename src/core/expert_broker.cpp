@@ -36,14 +36,12 @@ std::size_t overlap_chunks_from_env() {
 
 ExpertBroker::ExpertBroker(std::vector<ReliableLink*> rlinks,
                            const placement::Placement* placement,
-                           std::size_t num_layers, unsigned wire_bits,
-                           bool quantize_wire, comm::WireDtype wire_dtype,
-                           unsigned q8_block)
+                           std::size_t num_layers,
+                           const comm::WireCodec& codec)
     : rlinks_(std::move(rlinks)),
       placement_(placement),
       num_layers_(num_layers),
-      codec_(comm::WireCodec::resolve(wire_dtype, wire_bits, quantize_wire,
-                                      q8_block)),
+      codec_(codec),
       ledger_(num_layers, 1, rlinks_.size()) {
   VELA_CHECK(!rlinks_.empty());
   VELA_CHECK(placement_ != nullptr);
@@ -270,9 +268,8 @@ std::vector<ag::Variable> ExpertBroker::experts_forward_chunked(
       for (std::size_t c = 0; c < plans[g].rows.size(); ++c) {
         tasks.push_back([this, &groups, &plans, g, c] {
           GroupPlan& p = plans[g];
-          Tensor slice =
-              ops::slice_rows(groups[g].second.value(), p.begin[c], p.rows[c]);
-          p.wire[c] = codec_.transforms ? codec_.apply(slice) : std::move(slice);
+          p.wire[c] = codec_.apply(ops::slice_rows(groups[g].second.value(),
+                                                   p.begin[c], p.rows[c]));
         });
       }
     }
@@ -345,9 +342,8 @@ std::vector<ag::Variable> ExpertBroker::experts_forward_chunked(
             m.expert = expert32;
             m.chunk_index = static_cast<std::uint8_t>(c);
             m.chunk_count = static_cast<std::uint8_t>(k);
-            Tensor slice = ops::slice_rows(n.grad, begin[c], rows[c]);
             m.payload =
-                codec_.transforms ? codec_.apply(slice) : std::move(slice);
+                codec_.apply(ops::slice_rows(n.grad, begin[c], rows[c]));
             codec_.stamp(m);
             account(layer32, /*backward=*/true, worker, m.wire_size(),
                     c == 0 ? 1 : 0);

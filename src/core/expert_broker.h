@@ -36,13 +36,10 @@ class ExpertBroker : public moe::ExpertBackend {
   // `rlinks[n]` is the reliable link to worker n. `placement` may be updated
   // later via set_placement (expert migration). All pointers are non-owning;
   // MasterProcess keeps the links valid across worker respawns.
-  // The last two parameters select the quantized wire tier (DESIGN.md §13);
-  // the defaults resolve to the legacy (wire_bits, quantize_wire) behavior.
+  // `codec` is the resolved dispatch precision (DESIGN.md §13).
   ExpertBroker(std::vector<ReliableLink*> rlinks,
                const placement::Placement* placement, std::size_t num_layers,
-               unsigned wire_bits, bool quantize_wire = false,
-               comm::WireDtype wire_dtype = comm::WireDtype::kDefault,
-               unsigned q8_block = 0);
+               const comm::WireCodec& codec);
 
   ag::Variable expert_forward(std::size_t layer, std::size_t expert,
                               const ag::Variable& xs) override;

@@ -254,8 +254,7 @@ bool ExpertExecutor::stitched_backward(std::uint64_t base_id,
     const std::size_t rows = xs[c].rows();
     comm::Message reply =
         reply_to(msg, comm::MessageType::kExpertBackwardResult);
-    Tensor slice = ops::slice_rows(dx, at, rows);
-    reply.payload = codec_.transforms ? codec_.apply(slice) : std::move(slice);
+    reply.payload = codec_.apply(ops::slice_rows(dx, at, rows));
     codec_.stamp(reply);
     at += rows;
     ++c;

@@ -78,6 +78,7 @@ class ExpertExecutor {
 
   store::ExpertStore& store() { return *store_; }
   const store::ExpertStore& store() const { return *store_; }
+  const comm::WireCodec& codec() const { return codec_; }
 
   // Hosts a fresh expert (the key must not be hosted yet); `state`, when
   // given, is a pack_trainable image applied on top of the seeded slot.

@@ -20,6 +20,12 @@ store::StoreConfig worker_store(const WorkerSpec& spec,
   return cfg.resolved();
 }
 
+// Adapter and optimizer state is fp32 and never block-quantized: it is
+// charged at 32 bits on an fp32 wire and at the paper's 16 otherwise.
+unsigned state_reply_bits(const comm::WireCodec& codec) {
+  return codec.dtype == comm::WireDtype::kFp32 ? 32 : 16;
+}
+
 }  // namespace
 
 ExpertWorker::ExpertWorker(WorkerSpec spec, comm::DuplexLink* link,
@@ -31,9 +37,7 @@ ExpertWorker::ExpertWorker(WorkerSpec spec, comm::DuplexLink* link,
       // necessarily the same resolution the master's broker performed. It
       // applies to compute replies only; state/snapshot replies stay fp32.
       executor_(worker_store(spec, meter), spec.base_seed, spec.model_dim,
-                spec.hidden_dim, spec.lora, spec.adamw,
-                comm::WireCodec::resolve(spec.wire_dtype, spec.wire_bits,
-                                         spec.quantize_wire, spec.q8_block),
+                spec.hidden_dim, spec.lora, spec.adamw, wire_codec(spec),
                 /*source=*/0) {
   VELA_CHECK(link != nullptr);
   for (const auto& key : initial_experts) executor_.install(key);
@@ -198,7 +202,7 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
           store::Pinned pinned(executor_.store(), key);
           reply.payload = pack_trainable(pinned.expert());
         }
-        reply.wire_bits = spec_.wire_bits;
+        reply.wire_bits = state_reply_bits(executor_.codec());
         if (msg.type == comm::MessageType::kFetchExpert) {
           executor_.store().erase(key);
         }
@@ -212,7 +216,7 @@ bool ExpertWorker::process_batch(std::vector<comm::Message> batch,
           reply.payload =
               pack_full_state(pinned.expert(), pinned.optimizer());
         }
-        reply.wire_bits = spec_.wire_bits;
+        reply.wire_bits = state_reply_bits(executor_.codec());
         break;
       }
       case comm::MessageType::kRestoreExpert: {

@@ -50,9 +50,7 @@ MasterProcess::MasterProcess(const cluster::ClusterTopology& topology,
   std::vector<ReliableLink*> rlink_ptrs;
   for (auto& rl : rlinks_) rlink_ptrs.push_back(rl.get());
   broker_ = std::make_unique<ExpertBroker>(
-      rlink_ptrs, &placement_, num_layers, spec_template_.wire_bits,
-      spec_template_.quantize_wire, spec_template_.wire_dtype,
-      spec_template_.q8_block);
+      rlink_ptrs, &placement_, num_layers, wire_codec(spec_template_));
   resolve_paging();
 }
 
@@ -100,9 +98,7 @@ MasterProcess::MasterProcess(const cluster::ClusterTopology& topology,
   std::vector<ReliableLink*> rlink_ptrs;
   for (auto& rl : rlinks_) rlink_ptrs.push_back(rl.get());
   broker_ = std::make_unique<ExpertBroker>(
-      rlink_ptrs, &placement_, num_layers, spec_template_.wire_bits,
-      spec_template_.quantize_wire, spec_template_.wire_dtype,
-      spec_template_.q8_block);
+      rlink_ptrs, &placement_, num_layers, wire_codec(spec_template_));
   resolve_paging();
   VELA_LOG_INFO("master") << "remote fleet assembled: " << n
                           << " worker process(es)";

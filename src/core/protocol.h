@@ -25,6 +25,13 @@ using store::to_string;
 using store::unpack_full_state;
 using store::unpack_trainable;
 
+// The VELA runtime's dispatch precision when neither the config nor
+// VELA_WIRE_DTYPE names one: the paper's b = 16 accounting over fp32
+// numerics. The broker and every worker (local or a remote vela_node)
+// resolve against this one constant, so a fleet can never disagree.
+inline constexpr comm::WireDtype kVelaWireDefault =
+    comm::WireDtype::kFp16Accounted;
+
 // Everything a worker process needs to construct and train experts locally.
 // Frozen base weights never travel: they are derived from
 // nn::expert_seed(base_seed, layer, expert) on whichever device hosts the
@@ -37,15 +44,10 @@ struct WorkerSpec {
   nn::LoRAConfig lora;
   nn::AdamWConfig adamw;
   std::uint64_t base_seed = 1;
-  unsigned wire_bits = 32;
-  // When true and wire_bits == 16, payloads are rounded to fp16-representable
-  // values before transmission (simulating a half-precision transport; off
-  // by default so tests can assert bit-exact dense/distributed equivalence).
-  bool quantize_wire = false;
-  // Quantized wire tier (DESIGN.md §13). kDefault defers to VELA_WIRE_DTYPE
-  // and then to the legacy pair above; every process of a fleet resolves the
-  // same comm::WireCodec from these four knobs, so master, workers and
-  // remote vela_nodes can never disagree on the dispatch dtype.
+  // Dispatch-payload dtype (DESIGN.md §13). kDefault defers to
+  // VELA_WIRE_DTYPE and then to kVelaWireDefault; every process of a fleet
+  // resolves the same comm::WireCodec from these two knobs, so master,
+  // workers and remote vela_nodes can never disagree on the dispatch dtype.
   comm::WireDtype wire_dtype = comm::WireDtype::kDefault;
   unsigned q8_block = 0;  // int8 block length; 0 → VELA_WIRE_BLOCK, then 64
   // Expert store knobs (DESIGN.md §15). budget -1 → VELA_EXPERT_BUDGET,
@@ -57,5 +59,11 @@ struct WorkerSpec {
   std::string store_dir;
   store::StoreDtype store_dtype = store::StoreDtype::kDefault;
 };
+
+// The dispatch codec of a fleet built from `spec` (broker and workers alike).
+inline comm::WireCodec wire_codec(const WorkerSpec& spec) {
+  return comm::WireCodec::resolve(spec.wire_dtype, kVelaWireDefault,
+                                  spec.q8_block);
+}
 
 }  // namespace vela::core

@@ -66,8 +66,6 @@ VelaSystemConfig Scenario::system_config(bool remote) const {
   cfg.model = model_config();
   cfg.cluster = cluster_config();
   cfg.seed = seed;
-  cfg.wire_bits = wire_bits;
-  cfg.quantize_wire = quantize_wire;
   cfg.wire_dtype = wire_dtype;
   cfg.q8_block = q8_block;
   cfg.transport =
@@ -78,7 +76,6 @@ VelaSystemConfig Scenario::system_config(bool remote) const {
 std::string Scenario::serialize() const {
   std::ostringstream out;
   out << "model=" << model << ";workers=" << workers << ";seed=" << seed
-      << ";wire_bits=" << wire_bits << ";quantize_wire=" << (quantize_wire ? 1 : 0)
       << ";wire_dtype=" << comm::wire_dtype_name(wire_dtype)
       << ";q8_block=" << q8_block << ";corpus=" << corpus << ";corpus_seed=" << corpus_seed
       << ";corpus_domains=" << corpus_domains
@@ -105,10 +102,6 @@ Scenario Scenario::parse(const std::string& text) {
       sc.workers = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "seed") {
       sc.seed = parse_u64(key, value);
-    } else if (key == "wire_bits") {
-      sc.wire_bits = static_cast<unsigned>(parse_u64(key, value));
-    } else if (key == "quantize_wire") {
-      sc.quantize_wire = parse_u64(key, value) != 0;
     } else if (key == "wire_dtype") {
       VELA_CHECK_MSG(!value.empty(), "scenario: empty value for " << key);
       sc.wire_dtype = comm::parse_wire_dtype(value);

@@ -29,9 +29,7 @@ struct Scenario {
   // --processes bench emitters assert this row by row).
   std::size_t workers = 6;
   std::uint64_t seed = 21;
-  unsigned wire_bits = 16;
-  bool quantize_wire = false;
-  // Quantized wire tier (DESIGN.md §13). Serialized by NAME, and "default"
+  // Wire precision (DESIGN.md §13). Serialized by NAME, and "default"
   // is serialized too: a remote vela_node must resolve VELA_WIRE_DTYPE from
   // its own (inherited) environment exactly like the master does, so the
   // scenario pins the config-level request, not the resolved codec.

@@ -34,8 +34,6 @@ WorkerSpec make_worker_spec(const VelaSystemConfig& cfg, std::size_t worker_id,
   spec.lora = cfg.model.lora;
   spec.adamw = cfg.adamw;
   spec.base_seed = cfg.seed;
-  spec.wire_bits = cfg.wire_bits;
-  spec.quantize_wire = cfg.quantize_wire;
   spec.wire_dtype = cfg.wire_dtype;
   spec.q8_block = cfg.q8_block;
   spec.expert_budget = cfg.expert_budget;

@@ -39,17 +39,11 @@ struct VelaSystemConfig {
   comm::CommClockConfig clock;
   nn::AdamWConfig adamw;
   std::uint64_t seed = 1;
-  // Transport precision for feature/gradient exchange byte accounting
-  // (paper: b = 16). Payload numerics stay fp32 ("exchanged without
-  // precision loss" at computation precision) unless quantize_wire is set.
-  unsigned wire_bits = 16;
-  // Round payloads to fp16 on the wire (validates the paper's claim that
-  // half-precision exchange preserves convergence).
-  bool quantize_wire = false;
-  // Quantized wire tier (DESIGN.md §13): dispatch-payload dtype. kDefault
-  // consults VELA_WIRE_DTYPE, then falls back to the legacy pair above —
-  // leaving both unset keeps every pre-tier run bit-identical. kInt8 also
-  // switches hosted experts to the packed-q8 GEMM compute path.
+  // Feature/gradient exchange precision (DESIGN.md §13). kDefault consults
+  // VELA_WIRE_DTYPE, then falls back to kFp16Accounted — the paper's b = 16
+  // accounting with payload numerics kept at fp32 ("exchanged without
+  // precision loss"). kFp16 rounds payloads to binary16 on the wire; kInt8
+  // also switches hosted experts to the packed-q8 GEMM compute path.
   comm::WireDtype wire_dtype = comm::WireDtype::kDefault;
   // int8 block length (32/64); 0 resolves VELA_WIRE_BLOCK, then 64.
   unsigned q8_block = 0;

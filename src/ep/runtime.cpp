@@ -28,6 +28,12 @@ store::StoreConfig unbounded_store() {
   return cfg;
 }
 
+// Dispatch codec of every shard; EP's own default is the raw fp32 wire.
+comm::WireCodec wire_codec(const EpRuntimeConfig& cfg) {
+  return comm::WireCodec::resolve(cfg.wire_dtype, comm::WireDtype::kFp32,
+                                  cfg.q8_block);
+}
+
 // ---------------------------------------------------------------------------
 // Expert server: hosts this shard's expert slice on a core::ExpertExecutor
 // and serves forward/backward requests from every peer (including its own
@@ -49,9 +55,7 @@ class ExpertServer {
         executor_(unbounded_store(), cfg.seed,
                   cfg.model.model_dim, cfg.model.hidden_dim, cfg.model.lora,
                   cfg.adamw,
-                  comm::WireCodec::resolve(cfg.wire_dtype, cfg.wire_bits,
-                                           /*legacy_quantize=*/false,
-                                           cfg.q8_block),
+                  wire_codec(cfg),
                   static_cast<std::uint32_t>(shard),
                   [this](const ExpertKey& key, std::uint32_t source,
                          store::ExpertSlot& slot) {
@@ -364,9 +368,10 @@ ChunkSpan chunk_span(std::size_t total, std::size_t chunks, std::size_t k) {
   return {begin, end - begin};
 }
 
+// Chunks travel as raw fp32 at Message's default 32-bit accounting, whatever
+// the dispatch dtype.
 void ring_allreduce(std::size_t shard, std::size_t n, Tensor& data,
-                    comm::Endpoint* tx, comm::Endpoint* rx,
-                    unsigned wire_bits) {
+                    comm::Endpoint* tx, comm::Endpoint* rx) {
   if (n <= 1) return;
   const auto send_chunk = [&](std::size_t k) {
     const ChunkSpan span = chunk_span(data.size(), n, k);
@@ -379,7 +384,6 @@ void ring_allreduce(std::size_t shard, std::size_t n, Tensor& data,
         std::vector<float>(data.data() + span.begin,
                            data.data() + span.begin + span.size +
                                (span.size == 0 ? 1 : 0)));
-    msg.wire_bits = wire_bits;
     VELA_CHECK(tx->send(std::move(msg)));
   };
   const auto recv_chunk = [&](std::size_t k, bool add) {
@@ -479,8 +483,7 @@ struct EpRuntime::Impl {
       }
       backends.push_back(std::make_unique<PeerBackend>(
           d, n, cfg.model.num_layers,
-          comm::WireCodec::resolve(cfg.wire_dtype, cfg.wire_bits,
-                                   /*legacy_quantize=*/false, cfg.q8_block),
+          wire_codec(cfg),
           &topology, &meter, std::move(to_server), std::move(from_server)));
       Rng rng(cfg.seed);
       replicas.push_back(std::make_unique<model::MoETransformer>(
@@ -530,8 +533,7 @@ struct EpRuntime::Impl {
     for (const auto& p : params) total += p.var.value().size();
     Tensor flat({total});
     if (d == 0) {
-      allreduce_bytes =
-          static_cast<std::uint64_t>(total) * (cfg.wire_bits / 8);
+      allreduce_bytes = static_cast<std::uint64_t>(total) * sizeof(float);
     }
     std::size_t offset = 0;
     for (const auto& p : params) {
@@ -541,8 +543,7 @@ struct EpRuntime::Impl {
       }
       offset += p.var.value().size();
     }
-    ring_allreduce(d, n, flat, ring[d].get(), ring[(d + n - 1) % n].get(),
-                   cfg.wire_bits);
+    ring_allreduce(d, n, flat, ring[d].get(), ring[(d + n - 1) % n].get());
     offset = 0;
     for (auto& p : params) {
       const std::size_t size = p.var.value().size();

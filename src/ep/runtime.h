@@ -38,11 +38,10 @@ struct EpRuntimeConfig {
   cluster::ClusterConfig cluster;  // EP shards occupy ALL devices
   nn::AdamWConfig adamw;
   std::uint64_t seed = 1;
-  unsigned wire_bits = 32;
-  // Quantized wire tier (DESIGN.md §13): dtype of all-to-all dispatch
-  // payloads and compute replies (the ring all-reduce stays raw fp32).
-  // kDefault consults VELA_WIRE_DTYPE, then keeps legacy wire_bits
-  // accounting. kInt8 also switches hosted experts to the packed-q8 GEMM.
+  // Wire precision (DESIGN.md §13): dtype of all-to-all dispatch payloads
+  // and compute replies (the ring all-reduce stays raw fp32, charged at 32
+  // bits). kDefault consults VELA_WIRE_DTYPE, then falls back to kFp32.
+  // kInt8 also switches hosted experts to the packed-q8 GEMM.
   comm::WireDtype wire_dtype = comm::WireDtype::kDefault;
   unsigned q8_block = 0;  // int8 block length; 0 → VELA_WIRE_BLOCK, then 64
   // Comm-fabric backend for every channel (inbox, reply, ring); kDefault

@@ -482,25 +482,78 @@ bool allclose(const Tensor& a, const Tensor& b, float atol, float rtol) {
   return true;
 }
 
+std::uint16_t float_to_half(float value) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &value, sizeof(std::uint32_t));
+  const std::uint16_t sign = static_cast<std::uint16_t>((bits >> 16) & 0x8000);
+  const std::int32_t exponent =
+      static_cast<std::int32_t>((bits >> 23) & 0xFF) - 127 + 15;
+  std::uint32_t mantissa = bits & 0x7FFFFF;
+
+  if (((bits >> 23) & 0xFF) == 0xFF) {
+    // Inf / NaN: keep a mantissa bit for NaN.
+    return static_cast<std::uint16_t>(sign | 0x7C00 |
+                                      (mantissa ? 0x200 : 0));
+  }
+  if (exponent >= 0x1F) return static_cast<std::uint16_t>(sign | 0x7C00);  // ±inf
+  if (exponent <= 0) {
+    // Subnormal or underflow to zero.
+    if (exponent < -10) return sign;
+    mantissa |= 0x800000;  // implicit leading 1
+    const int shift = 14 - exponent;
+    std::uint32_t half_mant = mantissa >> shift;
+    // Round to nearest even.
+    const std::uint32_t rem = mantissa & ((1u << shift) - 1);
+    const std::uint32_t halfway = 1u << (shift - 1);
+    if (rem > halfway || (rem == halfway && (half_mant & 1))) ++half_mant;
+    return static_cast<std::uint16_t>(sign | half_mant);
+  }
+  // Normal: round mantissa from 23 to 10 bits, nearest-even.
+  std::uint32_t half_mant = mantissa >> 13;
+  const std::uint32_t rem = mantissa & 0x1FFF;
+  std::uint32_t half_bits =
+      static_cast<std::uint32_t>(sign) |
+      (static_cast<std::uint32_t>(exponent) << 10) | half_mant;
+  if (rem > 0x1000 || (rem == 0x1000 && (half_bits & 1))) ++half_bits;
+  return static_cast<std::uint16_t>(half_bits);
+}
+
+float half_to_float(std::uint16_t half) {
+  const std::uint32_t sign = (half & 0x8000u) << 16;
+  const std::uint32_t exponent = (half >> 10) & 0x1F;
+  const std::uint32_t mantissa = half & 0x3FF;
+  std::uint32_t bits;
+  if (exponent == 0x1F) {
+    bits = sign | 0x7F800000u | (mantissa << 13);
+  } else if (exponent == 0) {
+    if (mantissa == 0) {
+      bits = sign;
+    } else {
+      // Subnormal: normalize.
+      int e = -1;
+      std::uint32_t m = mantissa;
+      do {
+        ++e;
+        m <<= 1;
+      } while ((m & 0x400) == 0);
+      bits = sign | (static_cast<std::uint32_t>(127 - 15 - e) << 23) |
+             ((m & 0x3FF) << 13);
+    }
+  } else {
+    bits = sign | ((exponent - 15 + 127) << 23) | (mantissa << 13);
+  }
+  float value;
+  std::memcpy(&value, &bits, sizeof(float));
+  return value;
+}
+
 Tensor to_half_precision(const Tensor& a) {
   Tensor out(a.shape());
   util::ThreadPool::global().parallel_for(
       a.size(), kElemGrain,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t i = begin; i < end; ++i) {
-          // Round-trip through IEEE fp16 semantics: keep 10 mantissa bits.
-          float x = a[i];
-          if (!std::isfinite(x)) {
-            out[i] = x;
-            continue;
-          }
-          // Scale so the mantissa truncation happens at the fp16 precision
-          // level.
-          int exp = 0;
-          const float frac = std::frexp(x, &exp);
-          const float scaled =
-              std::ldexp(std::nearbyint(std::ldexp(frac, 11)), -11);
-          out[i] = std::ldexp(scaled, exp);
+          out[i] = half_to_float(float_to_half(a[i]));
         }
       });
   return out;

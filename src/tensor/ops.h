@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -88,9 +89,11 @@ bool allclose(const Tensor& a, const Tensor& b, float atol = 1e-5f,
               float rtol = 1e-4f);
 
 // --- wire quantization ------------------------------------------------------
-// Simulates the paper's 16-bit feature transport: rounds every element to the
-// nearest fp16-representable value (used to verify the claim that exchanging
-// data at b=16 preserves convergence within fp16 precision).
+// IEEE 754 binary16 conversion (round-to-nearest-even, overflow → ±inf).
+std::uint16_t float_to_half(float value);
+float half_to_float(std::uint16_t half);
+// The paper's 16-bit feature transport: rounds every element to its nearest
+// IEEE binary16 value (a float_to_half/half_to_float round trip).
 Tensor to_half_precision(const Tensor& a);
 
 }  // namespace vela::ops

@@ -49,8 +49,10 @@ void ThreadPool::work_on(Job& job) {
       err = std::current_exception();
     }
     {
+      // Moved, not copied: the exception's last reference must not be
+      // dropped by this lane outside job.m (the caller reads it under m).
       std::lock_guard<audit::AuditedMutex> lock(job.m);
-      if (err) job.errors.emplace_back(i, err);
+      if (err) job.errors.emplace_back(i, std::move(err));
       if (++job.done == job.count) job.cv.notify_all();
     }
   }
@@ -98,9 +100,13 @@ void ThreadPool::dispatch(const std::function<void(std::size_t)>& task,
   // The caller is a lane too.
   work_on(*job);
 
+  // Taken under job->m: a lane may still hold the last shared_ptr<Job>, so
+  // the exceptions must leave the job before the caller rethrows one.
+  std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
   {
     std::unique_lock<audit::AuditedMutex> lock(job->m);
     job->cv.wait(lock, [&] { return job->done == job->count; });
+    errors.swap(job->errors);
   }
   {
     // Retire the job from the queue if no worker got there first.
@@ -112,9 +118,9 @@ void ThreadPool::dispatch(const std::function<void(std::size_t)>& task,
       }
     }
   }
-  if (!job->errors.empty()) {
+  if (!errors.empty()) {
     auto first = std::min_element(
-        job->errors.begin(), job->errors.end(),
+        errors.begin(), errors.end(),
         [](const auto& a, const auto& b) { return a.first < b.first; });
     std::rethrow_exception(first->second);
   }

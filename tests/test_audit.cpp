@@ -208,7 +208,7 @@ TEST(AuditIntegration, CleanTrainingRunPassesAllAuditors) {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 3;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   cfg.clock.compute_seconds = 0.5;
 
   data::SyntheticCorpus corpus(

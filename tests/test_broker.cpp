@@ -25,7 +25,7 @@ core::WorkerSpec spec() {
   s.hidden_dim = kHidden;
   s.lora = lora();
   s.base_seed = kSeed;
-  s.wire_bits = 32;
+  s.wire_dtype = comm::WireDtype::kFp32;
   return s;
 }
 

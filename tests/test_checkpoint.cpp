@@ -9,13 +9,12 @@
 #include "nn/expert.h"
 #include "tensor/ops.h"
 #include "util/check.h"
+#include "temp_path.h"
 
 namespace vela {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::temp_path;
 
 TEST(Checkpoint, NamedTensorRoundTrip) {
   core::NamedTensors tensors;
@@ -75,7 +74,7 @@ TEST(Checkpoint, SystemRoundTripRestoresTraining) {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 5;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   cfg.adamw.lr = 1e-3f;
   data::SyntheticCorpus corpus(
       data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 6);
@@ -105,7 +104,7 @@ TEST(Checkpoint, SurvivesMigration) {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 7;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   data::SyntheticCorpus corpus(
       data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 8);
   core::VelaSystem vela(cfg, &corpus);

@@ -37,7 +37,7 @@ core::WorkerSpec spec() {
   s.hidden_dim = 16;
   s.lora = nn::LoRAConfig{2, 4.0f, true};
   s.base_seed = 3;
-  s.wire_bits = 32;
+  s.wire_dtype = comm::WireDtype::kFp32;
   return s;
 }
 
@@ -314,7 +314,7 @@ core::VelaSystemConfig sys_config() {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 3;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   cfg.clock.compute_seconds = 0.5;
   return cfg;
 }

@@ -24,7 +24,7 @@ ep::EpRuntimeConfig small_config(std::size_t nodes = 2,
   cfg.cluster.num_nodes = nodes;
   cfg.cluster.gpus_per_node = gpus;
   cfg.seed = 77;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   cfg.adamw.lr = 1e-3f;
   return cfg;
 }

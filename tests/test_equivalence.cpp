@@ -24,7 +24,7 @@ core::VelaSystemConfig system_config() {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = kSeed;
-  cfg.wire_bits = 32;  // exact transport for bit-equivalence
+  cfg.wire_dtype = comm::WireDtype::kFp32;  // exact transport for bit-equivalence
   return cfg;
 }
 
@@ -129,7 +129,7 @@ TEST(Equivalence, TrafficModelReproducesMeasuredBytesExactly) {
       vela.master().meter().lifetime_external_bytes() - external_before;
 
   core::VelaTrafficModelConfig tm_cfg;
-  tm_cfg.bytes_per_token = cfg.model.model_dim * cfg.wire_bits / 8;
+  tm_cfg.bytes_per_token = cfg.model.model_dim * sizeof(float);
   core::VelaTrafficModel traffic(&vela.topology(), tm_cfg);
   const std::uint64_t simulated = traffic.external_bytes(
       traffic.account_step(vela.model().last_plans(),
@@ -155,7 +155,7 @@ TEST(Equivalence, StepRecordMatchesTrafficModelPhases) {
   auto live = vela.master().broker().finish_step();
 
   core::VelaTrafficModelConfig tm_cfg;
-  tm_cfg.bytes_per_token = cfg.model.model_dim * cfg.wire_bits / 8;
+  tm_cfg.bytes_per_token = cfg.model.model_dim * sizeof(float);
   core::VelaTrafficModel traffic(&vela.topology(), tm_cfg);
   auto simulated = traffic.account_step(vela.model().last_plans(),
                                         vela.master().placement());

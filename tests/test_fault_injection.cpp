@@ -35,7 +35,7 @@ core::WorkerSpec spec() {
   s.hidden_dim = 16;
   s.lora = nn::LoRAConfig{2, 4.0f, true};
   s.base_seed = 3;
-  s.wire_bits = 32;
+  s.wire_dtype = comm::WireDtype::kFp32;
   return s;
 }
 
@@ -61,7 +61,7 @@ TEST(FaultInjection, BrokerDetectsDeadWorkerChannel) {
   core::RetryPolicy policy = fast_policy();
   core::ReliableLink rlink(0, &link, &policy);
   placement::Placement placement = one_layer_placement(2, 1);
-  core::ExpertBroker broker({&rlink}, &placement, 1, 32);
+  core::ExpertBroker broker({&rlink}, &placement, 1, comm::WireCodec{});
   // No worker is attached; close the reply channel to simulate a crash.
   // The failure is structured now: WorkerFailedError, not a bare check.
   link.to_master.close();
@@ -76,7 +76,7 @@ TEST(FaultInjection, BrokerRejectsMismatchedReply) {
   core::RetryPolicy policy = fast_policy();
   core::ReliableLink rlink(0, &link, &policy);
   placement::Placement placement = one_layer_placement(2, 1);
-  core::ExpertBroker broker({&rlink}, &placement, 1, 32);
+  core::ExpertBroker broker({&rlink}, &placement, 1, comm::WireCodec{});
   // An impostor injects a reply that matches nothing ever sent: that is a
   // genuine protocol violation, not a recoverable fault.
   comm::Message bogus;
@@ -444,7 +444,7 @@ core::VelaSystemConfig sys_config() {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 3;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   cfg.clock.compute_seconds = 0.5;
   return cfg;
 }

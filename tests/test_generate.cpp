@@ -96,7 +96,7 @@ TEST(Generate, WorksThroughDistributedBroker) {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 31;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   data::SyntheticCorpus corpus(
       data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 3);
   core::VelaSystem vela(cfg, &corpus);

@@ -14,6 +14,7 @@
 #include "placement/sequential.h"
 #include "util/check.h"
 #include "util/stats.h"
+#include "temp_path.h"
 
 namespace vela {
 namespace {
@@ -23,7 +24,7 @@ core::VelaSystemConfig small_config(std::uint64_t seed) {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = seed;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   return cfg;
 }
 
@@ -94,8 +95,7 @@ TEST(Workflow, TraceDrivenPlacementPipeline) {
     vela.train_step(batch);
     trace.push_back(vela.model().last_plans());
   }
-  const std::string path =
-      std::string(::testing::TempDir()) + "/workflow.trace";
+  const std::string path = testutil::temp_path("workflow.trace");
   moe::save_routing_trace(path, trace);
 
   // Offline: load, build the problem, place, serialize the placement.

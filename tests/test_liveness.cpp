@@ -38,7 +38,7 @@ core::WorkerSpec spec() {
   s.hidden_dim = 16;
   s.lora = nn::LoRAConfig{2, 4.0f, true};
   s.base_seed = 3;
-  s.wire_bits = 32;
+  s.wire_dtype = comm::WireDtype::kFp32;
   return s;
 }
 
@@ -318,7 +318,7 @@ TEST(VelaHeartbeat, ArmedHeartbeatLeavesHealthyRunsBitExact) {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 3;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   data::SyntheticCorpus corpus(
       data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 17);
   auto batch = corpus.make_dataset(2, 6);

@@ -41,7 +41,6 @@ std::vector<float> ep_losses(comm::WireDtype dtype) {
   cfg.cluster.num_nodes = 2;
   cfg.cluster.gpus_per_node = 2;
   cfg.seed = 77;
-  cfg.wire_bits = 32;
   cfg.wire_dtype = dtype;
   cfg.q8_block = 64;
   cfg.adamw.lr = 1e-3f;
@@ -61,7 +60,6 @@ std::vector<float> vela_losses(int overlap_chunks, long long expert_budget) {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 13;
-  cfg.wire_bits = 32;
   cfg.wire_dtype = comm::WireDtype::kFp32;
   cfg.adamw.lr = 1e-3f;
   cfg.overlap_chunks = overlap_chunks;

@@ -33,31 +33,21 @@
 #include "util/audit.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "scoped_env.h"
+#include "temp_path.h"
 
 namespace vela {
 namespace {
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
+using testutil::ScopedEnv;
+using testutil::temp_path;
 
 core::VelaSystemConfig base_config() {
   core::VelaSystemConfig cfg;
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 13;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   cfg.adamw.lr = 1e-3f;
   return cfg;
 }
@@ -393,7 +383,7 @@ store::StoreConfig tiny_store_config(store::EvictionPolicy policy,
                                      long long budget) {
   store::StoreConfig cfg;
   cfg.budget = budget;
-  cfg.dir = ::testing::TempDir();
+  cfg.dir = testutil::temp_dir();
   cfg.dtype = store::StoreDtype::kFp32;
   cfg.policy = policy;
   return cfg;

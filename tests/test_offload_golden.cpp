@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "offload_csv.h"
+#include "temp_path.h"
 
 namespace vela {
 namespace {
@@ -63,7 +64,7 @@ std::string join(const std::vector<std::string>& cells, char sep) {
 std::string emit_offload_csv(const std::string& path) {
   {
     CsvWriter csv(path, bench::offload_columns());
-    bench::emit_offload_sweep("tiny-offload", csv, ::testing::TempDir());
+    bench::emit_offload_sweep("tiny-offload", csv, testutil::temp_dir());
   }  // writer flushes on destruction
   return slurp(path);
 }

@@ -39,7 +39,7 @@ core::VelaSystemConfig sys_config(int overlap_chunks) {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 3;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   cfg.clock.compute_seconds = 0.5;
   cfg.overlap_chunks = overlap_chunks;  // explicit: env must not leak in
   return cfg;
@@ -226,7 +226,7 @@ core::WorkerSpec broker_spec() {
   s.hidden_dim = 16;
   s.lora = nn::LoRAConfig{2, 4.0f, true};
   s.base_seed = 3;
-  s.wire_bits = 32;
+  s.wire_dtype = comm::WireDtype::kFp32;
   return s;
 }
 
@@ -252,7 +252,7 @@ BrokerRun run_chunked_forward(const comm::FaultPlan* plan) {
   core::ReliableLink rlink(0, &link, &policy);
   placement::Placement placement(1, 1);
   placement.assign(0, 0, 0);
-  core::ExpertBroker broker({&rlink}, &placement, 1, 32);
+  core::ExpertBroker broker({&rlink}, &placement, 1, comm::WireCodec{});
   broker.set_overlap_chunks(4);
   broker.begin_step();
   Rng xr(5);
@@ -322,7 +322,7 @@ TEST(OverlapEquivalence, ChunkedForwardLedgerMatchesSequential) {
     core::ReliableLink rlink(0, &link, &policy);
     placement::Placement placement(1, 1);
     placement.assign(0, 0, 0);
-    core::ExpertBroker broker({&rlink}, &placement, 1, 32);
+    core::ExpertBroker broker({&rlink}, &placement, 1, comm::WireCodec{});
     broker.set_overlap_chunks(k);
     broker.begin_step();
     Rng xr(5);

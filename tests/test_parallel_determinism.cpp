@@ -155,7 +155,7 @@ TEST(ParallelDeterminism, FullTrainingStepIsBitExactWithIdenticalTraffic) {
     cfg.model = model::ModelConfig::tiny_test();
     cfg.cluster = cluster::ClusterConfig::paper_testbed();
     cfg.seed = 3;
-    cfg.wire_bits = 32;
+    cfg.wire_dtype = comm::WireDtype::kFp32;
     cfg.clock.compute_seconds = 0.5;
     data::SyntheticCorpus corpus(
         data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 17);

@@ -10,32 +10,26 @@
 #include <utility>
 #include <vector>
 
+#include "autograd/variable.h"
+#include "core/expert_worker.h"
 #include "core/vela_system.h"
 #include "data/batch.h"
 #include "ep/runtime.h"
 #include "util/audit.h"
 #include "util/thread_pool.h"
+#include "scoped_env.h"
 
 namespace vela {
 namespace {
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
+using testutil::ScopedEnv;
 
 core::VelaSystemConfig base_config() {
   core::VelaSystemConfig cfg;
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 13;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   cfg.adamw.lr = 1e-3f;
   cfg.overlap_chunks = 0;
   return cfg;
@@ -153,19 +147,47 @@ TEST(QuantSystem, OverlapFragmentationIsBitIdenticalUnderInt8) {
   }
 }
 
-TEST(QuantSystem, ExplicitFp32MatchesDefaultBitForBit) {
-  // The tier must be invisible until asked for: an explicit fp32 codec and
-  // the legacy default (wire_bits=32, env unset) are the same run — losses
-  // AND accounted bytes.
-  const RunResult legacy = run_finetune(base_config(), 4);
-  auto cfg = base_config();
-  cfg.wire_dtype = comm::WireDtype::kFp32;
-  const RunResult fp32 = run_finetune(cfg, 4);
-  ASSERT_EQ(fp32.losses.size(), legacy.losses.size());
-  for (std::size_t i = 0; i < legacy.losses.size(); ++i) {
-    EXPECT_EQ(fp32.losses[i], legacy.losses[i]) << "step " << i;
+// The per-phase byte ledger of one forward+backward pass after `steps`
+// training steps.
+std::vector<comm::MasterWorkerPhase> run_and_ledger(
+    const core::VelaSystemConfig& cfg, int steps, RunResult* out) {
+  data::SyntheticCorpus corpus(
+      data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 31);
+  core::VelaSystem vela(cfg, &corpus);
+  data::BatchIterator it(corpus.make_dataset(6, 8), 3, 4, /*shuffle=*/false);
+  for (int step = 0; step < steps; ++step) {
+    out->losses.push_back(vela.train_step(it.next()).loss);
   }
-  EXPECT_EQ(fp32.external_bytes, legacy.external_bytes);
+  out->external_bytes = vela.master().meter().lifetime_external_bytes();
+  vela.master().broker().begin_step();
+  ag::backward(vela.model().loss_batch(it.next()));
+  return vela.master().broker().finish_step().phases;
+}
+
+TEST(QuantSystem, ExplicitFp16AccountedMatchesDefaultBitForBit) {
+  // A VelaSystem's default wire (env unset) is the paper's b = 16 charge
+  // over fp32 numerics: an explicit kFp16Accounted is the same run —
+  // losses, lifetime bytes and the per-phase ledger.
+  ScopedEnv no_env("VELA_WIRE_DTYPE", nullptr);
+  auto cfg = base_config();
+  cfg.wire_dtype = comm::WireDtype::kDefault;
+  RunResult by_default;
+  const auto default_phases = run_and_ledger(cfg, 4, &by_default);
+  cfg.wire_dtype = comm::WireDtype::kFp16Accounted;
+  RunResult acct;
+  const auto acct_phases = run_and_ledger(cfg, 4, &acct);
+  EXPECT_EQ(acct.losses, by_default.losses);
+  EXPECT_EQ(acct.external_bytes, by_default.external_bytes);
+  ASSERT_EQ(acct_phases.size(), default_phases.size());
+  for (std::size_t i = 0; i < acct_phases.size(); ++i) {
+    EXPECT_EQ(acct_phases[i].bytes, default_phases[i].bytes) << "phase " << i;
+    EXPECT_EQ(acct_phases[i].messages, default_phases[i].messages)
+        << "phase " << i;
+  }
+  // Accounting only: the numerics are fp32's, the bytes are fewer.
+  const RunResult fp32 = run_finetune(base_config(), 4);
+  EXPECT_EQ(acct.losses, fp32.losses);
+  EXPECT_LT(acct.external_bytes, fp32.external_bytes);
 }
 
 TEST(QuantSystem, EnvSelectsInt8ForDefaultConfig) {
@@ -173,7 +195,8 @@ TEST(QuantSystem, EnvSelectsInt8ForDefaultConfig) {
   cfg.wire_dtype = comm::WireDtype::kInt8;
   const RunResult explicit_q8 = run_finetune(cfg, 3);
   ScopedEnv env("VELA_WIRE_DTYPE", "int8");
-  const RunResult env_q8 = run_finetune(base_config(), 3);
+  cfg.wire_dtype = comm::WireDtype::kDefault;
+  const RunResult env_q8 = run_finetune(cfg, 3);
   ASSERT_EQ(env_q8.losses.size(), explicit_q8.losses.size());
   for (std::size_t i = 0; i < explicit_q8.losses.size(); ++i) {
     EXPECT_EQ(env_q8.losses[i], explicit_q8.losses[i]) << "step " << i;
@@ -232,7 +255,7 @@ TEST(QuantSystem, EpRuntimeInt8TrainsAndReducesTraffic) {
   cfg.cluster.num_nodes = 2;
   cfg.cluster.gpus_per_node = 1;
   cfg.seed = 77;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   cfg.adamw.lr = 1e-3f;
   data::SyntheticCorpus corpus(
       data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 5);
@@ -258,6 +281,92 @@ TEST(QuantSystem, EpRuntimeInt8TrainsAndReducesTraffic) {
   // the total is a smaller (but strict and substantial) cut.
   EXPECT_LT(2 * q8_bytes, 2 * fp32_bytes);
   EXPECT_LT(q8_bytes, (fp32_bytes * 3) / 4);
+}
+
+// ---------------------------------------------------------------------------
+// Fixed-depth charges: traffic that is not dispatch does not follow the
+// dispatch dtype's accounting.
+// ---------------------------------------------------------------------------
+
+constexpr comm::WireDtype kEveryDtype[] = {
+    comm::WireDtype::kFp32, comm::WireDtype::kFp16Accounted,
+    comm::WireDtype::kFp16, comm::WireDtype::kInt8};
+
+TEST(QuantSystem, StateRepliesChargeThirtyTwoBitsOnlyOnFp32Wire) {
+  // Adapter + optimizer state is fp32 and never block-quantized: 32 bits on
+  // an fp32 wire, the paper's 16 on every other (int8 included).
+  for (const auto dtype : kEveryDtype) {
+    core::WorkerSpec spec;
+    spec.model_dim = 8;
+    spec.hidden_dim = 16;
+    spec.lora = nn::LoRAConfig{2, 4.0f, true};
+    spec.wire_dtype = dtype;
+    comm::DuplexLink link(comm::TransportKind::kDefault, 0, 0, nullptr);
+    core::ExpertWorker worker(spec, &link, {{0, 0}});
+    worker.start();
+    const unsigned want = dtype == comm::WireDtype::kFp32 ? 32 : 16;
+    for (const auto type : {comm::MessageType::kSnapshotExpert,
+                            comm::MessageType::kQueryExpert}) {
+      comm::Message msg;
+      msg.type = type;
+      link.to_worker.send(std::move(msg));
+      const comm::Message reply = *link.to_master.receive();
+      EXPECT_GT(reply.payload.size(), 0u);
+      EXPECT_EQ(reply.wire_bits, want)
+          << comm::wire_dtype_name(dtype) << " " << reply.to_string();
+    }
+    comm::Message bye;
+    bye.type = comm::MessageType::kShutdown;
+    link.to_worker.send(std::move(bye));
+    worker.join();
+  }
+}
+
+TEST(QuantSystem, EpAllReduceChargesThirtyTwoBitsUnderEveryDtype) {
+  // With top_k == num_experts every token visits every expert, so the
+  // dispatch messages and their shapes cannot depend on the numerics. One
+  // step's external bytes are then that dispatch at the dtype's depth plus
+  // the ring all-reduce, which must be charged at 32 bits whatever the
+  // dtype: on 2 shards each sends 2 chunks, 2·T backbone floats in all.
+  ep::EpRuntimeConfig cfg;
+  cfg.model = model::ModelConfig::tiny_test();
+  cfg.model.top_k = cfg.model.num_experts;
+  cfg.cluster = cluster::ClusterConfig::paper_testbed();
+  cfg.cluster.num_nodes = 2;
+  cfg.cluster.gpus_per_node = 1;
+  cfg.seed = 77;
+  data::SyntheticCorpus corpus(
+      data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 5);
+  const auto batch = corpus.make_dataset(2, 6);
+  std::uint64_t backbone = 0;
+  const auto step_bytes = [&](comm::WireDtype dtype) {
+    cfg.wire_dtype = dtype;
+    ep::EpRuntime ep(cfg, &corpus);
+    ep.train_step(batch);
+    backbone = 0;
+    for (const auto& p : ep.replica().trainable_parameters()) {
+      backbone += p.var.value().size();
+    }
+    return ep.meter().step_external_bytes(0);
+  };
+  const std::uint64_t fp32 = step_bytes(comm::WireDtype::kFp32);
+  const std::uint64_t acct = step_bytes(comm::WireDtype::kFp16Accounted);
+  const std::uint64_t fp16 = step_bytes(comm::WireDtype::kFp16);
+  const std::uint64_t int8 = step_bytes(comm::WireDtype::kInt8);
+  const std::uint64_t ring = 4 * comm::Message::kHeaderBytes +
+                             2 * backbone * sizeof(float);
+  // fp32 and fp16acct share numerics, hence messages: their difference is
+  // the dispatch payload at 16 bits per float.
+  ASSERT_GT(fp32, acct);
+  const std::uint64_t dispatch_floats = (fp32 - acct) / 2;
+  ASSERT_GT(fp32, ring + 4 * dispatch_floats);
+  const std::uint64_t dispatch_headers = fp32 - ring - 4 * dispatch_floats;
+  EXPECT_EQ(dispatch_headers % comm::Message::kHeaderBytes, 0u);
+  EXPECT_EQ(fp16, ring + dispatch_headers + 2 * dispatch_floats);
+  // int8: one code byte per float plus one fp32 scale per row (H = 16 is
+  // one block).
+  const std::uint64_t rows = dispatch_floats / cfg.model.model_dim;
+  EXPECT_EQ(int8, ring + dispatch_headers + dispatch_floats + 4 * rows);
 }
 
 }  // namespace

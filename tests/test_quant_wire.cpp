@@ -21,21 +21,12 @@
 #include "tensor/qblock.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "scoped_env.h"
 
 namespace vela {
 namespace {
 
-// setenv/unsetenv guard: restores the unset state on scope exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
+using testutil::ScopedEnv;
 
 comm::Message q8_message(std::size_t rows, std::size_t cols, unsigned block,
                          std::uint64_t seed = 5) {
@@ -224,68 +215,113 @@ TEST(QuantFrame, DecoderReassemblesOneByteTornReads) {
 // WireCodec resolution
 // ---------------------------------------------------------------------------
 
-TEST(WireCodec, LegacyPairStaysAuthoritativeWithoutEnv) {
-  // Pre-tier configs must resolve bit-identically: wire_bits carries the
-  // accounting, quantize_wire&&16 is the only legacy transform.
-  const auto raw32 = comm::WireCodec::resolve(comm::WireDtype::kDefault, 32,
-                                              /*legacy_quantize=*/false, 0);
-  EXPECT_EQ(raw32.dtype, comm::WireDtype::kFp32);
-  EXPECT_EQ(raw32.bits, 32u);
-  EXPECT_FALSE(raw32.transforms);
+TEST(WireCodec, ResolutionTable) {
+  // Two levels: an explicit dtype wins; kDefault takes VELA_WIRE_DTYPE and,
+  // with the env unset, the runtime's own default. bits() and transforms()
+  // follow from the resolved dtype alone.
+  struct Expect {
+    comm::WireDtype dtype;
+    unsigned bits;
+    bool transforms;
+    unsigned block;
+  };
+  const Expect kResolved[] = {
+      {comm::WireDtype::kFp32, 32, false, 0},
+      {comm::WireDtype::kFp16Accounted, 16, false, 0},
+      {comm::WireDtype::kFp16, 16, true, 0},
+      {comm::WireDtype::kInt8, 8, true, qblock::kDefaultBlock},
+  };
+  const auto expect_of = [&](comm::WireDtype dtype) {
+    for (const Expect& e : kResolved) {
+      if (e.dtype == dtype) return e;
+    }
+    ADD_FAILURE() << "no expectation for " << comm::wire_dtype_name(dtype);
+    return kResolved[0];
+  };
+  struct Env {
+    const char* value;  // nullptr = unset
+    comm::WireDtype dtype;
+  };
+  const Env kEnvs[] = {{nullptr, comm::WireDtype::kDefault},
+                       {"int8", comm::WireDtype::kInt8},
+                       {"fp16acct", comm::WireDtype::kFp16Accounted}};
+  const comm::WireDtype kRequests[] = {
+      comm::WireDtype::kDefault, comm::WireDtype::kFp32,
+      comm::WireDtype::kFp16Accounted, comm::WireDtype::kFp16,
+      comm::WireDtype::kInt8};
+  const comm::WireDtype kRuntimeDefaults[] = {comm::WireDtype::kFp16Accounted,
+                                              comm::WireDtype::kFp32};
 
-  const auto acct16 = comm::WireCodec::resolve(comm::WireDtype::kDefault, 16,
-                                               false, 0);
-  EXPECT_EQ(acct16.bits, 16u);
-  EXPECT_FALSE(acct16.transforms);  // accounting-only 16-bit, legacy default
-
-  const auto legacy_f16 = comm::WireCodec::resolve(comm::WireDtype::kDefault,
-                                                   16, true, 0);
-  EXPECT_EQ(legacy_f16.dtype, comm::WireDtype::kFp16);
-  EXPECT_TRUE(legacy_f16.transforms);
+  ScopedEnv no_block("VELA_WIRE_BLOCK", nullptr);
+  for (const Env& env : kEnvs) {
+    ScopedEnv scoped("VELA_WIRE_DTYPE", env.value);
+    for (const auto runtime_default : kRuntimeDefaults) {
+      for (const auto requested : kRequests) {
+        const comm::WireDtype want_dtype =
+            requested != comm::WireDtype::kDefault ? requested
+            : env.dtype != comm::WireDtype::kDefault ? env.dtype
+                                                     : runtime_default;
+        const Expect want = expect_of(want_dtype);
+        const auto codec =
+            comm::WireCodec::resolve(requested, runtime_default, 0);
+        SCOPED_TRACE(std::string("requested=") +
+                     comm::wire_dtype_name(requested) + " env=" +
+                     (env.value != nullptr ? env.value : "unset") +
+                     " runtime_default=" +
+                     comm::wire_dtype_name(runtime_default));
+        EXPECT_EQ(codec.dtype, want.dtype);
+        EXPECT_EQ(codec.bits(), want.bits);
+        EXPECT_EQ(codec.transforms(), want.transforms);
+        EXPECT_EQ(codec.block, want.block);
+      }
+    }
+  }
+  EXPECT_THROW(comm::WireCodec::resolve(comm::WireDtype::kFp32,
+                                        comm::WireDtype::kDefault, 0),
+               CheckError);
 }
 
 TEST(WireCodec, EnvSelectsTierForDefaultConfigs) {
   ScopedEnv env("VELA_WIRE_DTYPE", "int8");
-  const auto codec =
-      comm::WireCodec::resolve(comm::WireDtype::kDefault, 32, false, 0);
+  ScopedEnv no_block("VELA_WIRE_BLOCK", nullptr);
+  const auto codec = comm::WireCodec::resolve(
+      comm::WireDtype::kDefault, comm::WireDtype::kFp16Accounted, 0);
   EXPECT_EQ(codec.dtype, comm::WireDtype::kInt8);
-  EXPECT_EQ(codec.bits, 8u);
+  EXPECT_EQ(codec.bits(), 8u);
   EXPECT_EQ(codec.block, qblock::kDefaultBlock);
-  EXPECT_TRUE(codec.transforms);
+  EXPECT_TRUE(codec.transforms());
 }
 
 TEST(WireCodec, ExplicitConfigBeatsEnv) {
   ScopedEnv env("VELA_WIRE_DTYPE", "int8");
-  const auto codec =
-      comm::WireCodec::resolve(comm::WireDtype::kFp32, 16, true, 0);
+  const auto codec = comm::WireCodec::resolve(
+      comm::WireDtype::kFp32, comm::WireDtype::kFp16Accounted, 0);
   EXPECT_EQ(codec.dtype, comm::WireDtype::kFp32);
-  EXPECT_EQ(codec.bits, 32u);
-  EXPECT_FALSE(codec.transforms);
+  EXPECT_EQ(codec.bits(), 32u);
+  EXPECT_FALSE(codec.transforms());
 }
 
 TEST(WireCodec, BlockResolutionChain) {
-  EXPECT_EQ(comm::WireCodec::resolve(comm::WireDtype::kInt8, 32, false, 32)
-                .block,
-            32u);
+  const auto int8 = [](unsigned block) {
+    return comm::WireCodec::resolve(comm::WireDtype::kInt8,
+                                    comm::WireDtype::kFp32, block);
+  };
+  ScopedEnv no_block("VELA_WIRE_BLOCK", nullptr);
+  EXPECT_EQ(int8(32).block, 32u);
   {
     ScopedEnv env("VELA_WIRE_BLOCK", "32");
-    EXPECT_EQ(comm::WireCodec::resolve(comm::WireDtype::kInt8, 32, false, 0)
-                  .block,
-              32u);
+    EXPECT_EQ(int8(0).block, 32u);
     // An explicit request still wins over the env.
-    EXPECT_EQ(comm::WireCodec::resolve(comm::WireDtype::kInt8, 32, false, 64)
-                  .block,
-              64u);
+    EXPECT_EQ(int8(64).block, 64u);
   }
-  EXPECT_EQ(
-      comm::WireCodec::resolve(comm::WireDtype::kInt8, 32, false, 0).block,
-      qblock::kDefaultBlock);
-  EXPECT_THROW(comm::WireCodec::resolve(comm::WireDtype::kInt8, 32, false, 48),
-               CheckError);
+  EXPECT_EQ(int8(0).block, qblock::kDefaultBlock);
+  EXPECT_THROW(int8(48), CheckError);
 }
 
 TEST(WireCodec, ParseNamesStrictly) {
   EXPECT_EQ(comm::parse_wire_dtype("fp32"), comm::WireDtype::kFp32);
+  EXPECT_EQ(comm::parse_wire_dtype("fp16acct"),
+            comm::WireDtype::kFp16Accounted);
   EXPECT_EQ(comm::parse_wire_dtype("fp16"), comm::WireDtype::kFp16);
   EXPECT_EQ(comm::parse_wire_dtype("int8"), comm::WireDtype::kInt8);
   EXPECT_EQ(comm::parse_wire_dtype("default"), comm::WireDtype::kDefault);
@@ -296,13 +332,13 @@ TEST(WireCodec, ParseNamesStrictly) {
 
 TEST(WireCodec, StampSetsAccountingFields) {
   comm::Message msg;
-  const auto q8 = comm::WireCodec::resolve(comm::WireDtype::kInt8, 32, false,
-                                           32);
+  const auto q8 = comm::WireCodec::resolve(comm::WireDtype::kInt8,
+                                           comm::WireDtype::kFp32, 32);
   q8.stamp(msg);
   EXPECT_EQ(msg.wire_bits, 8u);
   EXPECT_EQ(msg.q8_block, 32u);
-  const auto f16 = comm::WireCodec::resolve(comm::WireDtype::kFp16, 32, false,
-                                            0);
+  const auto f16 = comm::WireCodec::resolve(comm::WireDtype::kFp16,
+                                            comm::WireDtype::kFp32, 0);
   f16.stamp(msg);
   EXPECT_EQ(msg.wire_bits, 16u);
   EXPECT_EQ(msg.q8_block, 0u);
@@ -311,8 +347,8 @@ TEST(WireCodec, StampSetsAccountingFields) {
 TEST(WireCodec, ApplyMatchesQblockRoundtrip) {
   Rng rng(41);
   const Tensor t = ops::randn({3, 50}, rng);
-  const auto codec =
-      comm::WireCodec::resolve(comm::WireDtype::kInt8, 32, false, 32);
+  const auto codec = comm::WireCodec::resolve(comm::WireDtype::kInt8,
+                                              comm::WireDtype::kFp32, 32);
   const Tensor wire = codec.apply(t);
   const Tensor expect = qblock::roundtrip(t, 32);
   ASSERT_EQ(wire.size(), expect.size());

@@ -164,7 +164,7 @@ TEST(RoutingModes, DistributedTop1System) {
   cfg.model = config_with_k(1);
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 41;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   data::SyntheticCorpus corpus(
       data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 43);
   core::VelaSystem vela(cfg, &corpus);

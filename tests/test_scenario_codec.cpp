@@ -19,8 +19,6 @@ core::Scenario nondefault_scenario() {
   sc.model = "tiny_mistral";
   sc.workers = 5;
   sc.seed = 99;
-  sc.wire_bits = 8;
-  sc.quantize_wire = true;
   sc.wire_dtype = comm::WireDtype::kInt8;
   sc.q8_block = 32;
   sc.corpus = "alpaca";
@@ -38,8 +36,6 @@ void expect_equal(const core::Scenario& a, const core::Scenario& b) {
   EXPECT_EQ(a.model, b.model);
   EXPECT_EQ(a.workers, b.workers);
   EXPECT_EQ(a.seed, b.seed);
-  EXPECT_EQ(a.wire_bits, b.wire_bits);
-  EXPECT_EQ(a.quantize_wire, b.quantize_wire);
   EXPECT_EQ(a.wire_dtype, b.wire_dtype);
   EXPECT_EQ(a.q8_block, b.q8_block);
   EXPECT_EQ(a.corpus, b.corpus);
@@ -81,6 +77,12 @@ TEST(ScenarioCodec, UnknownKeyRejected) {
   EXPECT_THROW(core::Scenario::parse("model=tiny_test;wire_dytpe=int8"),
                CheckError);
   EXPECT_THROW(core::Scenario::parse("bogus=1"), CheckError);
+}
+
+TEST(ScenarioCodec, RetiredWireBitsKeyRejected) {
+  // wire_dtype is the one precision knob: the old accounting-depth key is
+  // unknown, not silently ignored.
+  EXPECT_THROW(core::Scenario::parse("wire_bits=16"), CheckError);
 }
 
 TEST(ScenarioCodec, MalformedPairsRejected) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "tensor/ops.h"
@@ -18,43 +19,43 @@ namespace {
 TEST(Half, ExactValuesRoundTrip) {
   for (float v : {0.0f, 1.0f, -1.0f, 0.5f, 2.0f, -4.0f, 0.25f, 1024.0f,
                   -0.125f, 65504.0f /* max finite half */}) {
-    EXPECT_EQ(comm::half_to_float(comm::float_to_half(v)), v) << v;
+    EXPECT_EQ(ops::half_to_float(ops::float_to_half(v)), v) << v;
   }
 }
 
 TEST(Half, SignedZeroPreserved) {
-  EXPECT_EQ(comm::float_to_half(0.0f), 0x0000);
-  EXPECT_EQ(comm::float_to_half(-0.0f), 0x8000);
+  EXPECT_EQ(ops::float_to_half(0.0f), 0x0000);
+  EXPECT_EQ(ops::float_to_half(-0.0f), 0x8000);
 }
 
 TEST(Half, InfinityAndNan) {
   const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(comm::float_to_half(inf), 0x7C00);
-  EXPECT_EQ(comm::float_to_half(-inf), 0xFC00);
-  EXPECT_TRUE(std::isinf(comm::half_to_float(0x7C00)));
+  EXPECT_EQ(ops::float_to_half(inf), 0x7C00);
+  EXPECT_EQ(ops::float_to_half(-inf), 0xFC00);
+  EXPECT_TRUE(std::isinf(ops::half_to_float(0x7C00)));
   const std::uint16_t nan_half =
-      comm::float_to_half(std::numeric_limits<float>::quiet_NaN());
-  EXPECT_TRUE(std::isnan(comm::half_to_float(nan_half)));
+      ops::float_to_half(std::numeric_limits<float>::quiet_NaN());
+  EXPECT_TRUE(std::isnan(ops::half_to_float(nan_half)));
 }
 
 TEST(Half, OverflowSaturatesToInf) {
-  EXPECT_EQ(comm::float_to_half(1e10f), 0x7C00);
-  EXPECT_EQ(comm::float_to_half(-1e10f), 0xFC00);
+  EXPECT_EQ(ops::float_to_half(1e10f), 0x7C00);
+  EXPECT_EQ(ops::float_to_half(-1e10f), 0xFC00);
 }
 
 TEST(Half, SubnormalsRepresented) {
   // Smallest positive half subnormal is 2^-24 ≈ 5.96e-8.
   const float tiny = std::ldexp(1.0f, -24);
-  EXPECT_EQ(comm::half_to_float(comm::float_to_half(tiny)), tiny);
+  EXPECT_EQ(ops::half_to_float(ops::float_to_half(tiny)), tiny);
   // Below half precision entirely → flush to zero.
-  EXPECT_EQ(comm::half_to_float(comm::float_to_half(1e-9f)), 0.0f);
+  EXPECT_EQ(ops::half_to_float(ops::float_to_half(1e-9f)), 0.0f);
 }
 
 TEST(Half, RoundTripErrorWithinOneUlp) {
   Rng rng(1);
   for (int i = 0; i < 20000; ++i) {
     const float v = static_cast<float>(rng.normal(0.0, 10.0));
-    const float back = comm::half_to_float(comm::float_to_half(v));
+    const float back = ops::half_to_float(ops::float_to_half(v));
     EXPECT_NEAR(back, v, std::abs(v) / 1024.0f + 1e-7f);
   }
 }
@@ -62,9 +63,9 @@ TEST(Half, RoundTripErrorWithinOneUlp) {
 TEST(Half, RoundToNearestEven) {
   // 2048 + 1 = 2049 is exactly halfway between representable 2048 and 2050;
   // nearest-even picks 2048.
-  EXPECT_EQ(comm::half_to_float(comm::float_to_half(2049.0f)), 2048.0f);
+  EXPECT_EQ(ops::half_to_float(ops::float_to_half(2049.0f)), 2048.0f);
   // 2051 is halfway between 2050 and 2052 → even mantissa gives 2052.
-  EXPECT_EQ(comm::half_to_float(comm::float_to_half(2051.0f)), 2052.0f);
+  EXPECT_EQ(ops::half_to_float(ops::float_to_half(2051.0f)), 2052.0f);
 }
 
 comm::Message sample_message(unsigned wire_bits) {
@@ -110,7 +111,7 @@ TEST(Serialize, RoundTrip16BitMatchesHalfRounding) {
   ASSERT_EQ(back.payload.size(), msg.payload.size());
   for (std::size_t i = 0; i < msg.payload.size(); ++i) {
     EXPECT_EQ(back.payload[i],
-              comm::half_to_float(comm::float_to_half(msg.payload[i])));
+              ops::half_to_float(ops::float_to_half(msg.payload[i])));
   }
 }
 
@@ -196,7 +197,7 @@ TEST(Serialize, Binary16RoundTripHandlesEdgeValues) {
   const comm::Message once = comm::decode(comm::encode(msg));
   ASSERT_EQ(once.payload.size(), edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    const float expected = comm::half_to_float(comm::float_to_half(edges[i]));
+    const float expected = ops::half_to_float(ops::float_to_half(edges[i]));
     if (std::isnan(expected)) {
       EXPECT_TRUE(std::isnan(once.payload[i])) << "index " << i;
     } else {
@@ -311,15 +312,41 @@ TEST(Serialize, FragmentTrainCostsExactlyOneHeader) {
 }
 
 TEST(Serialize, HalfPrecisionTensorOpAgreesWithCodec) {
-  // ops::to_half_precision (used by the quantize-wire runtime path) and the
-  // binary16 codec must implement the same value set.
+  // ops::to_half_precision (the fp16 wire tier's transform) and the
+  // binary16 codec must implement the same value set, bit for bit —
+  // including subnormals, overflow to ±inf and the sign of zero.
   Rng rng(7);
   Tensor t = ops::randn({512}, rng, 0.0f, 3.0f);
   Tensor rounded = ops::to_half_precision(t);
   for (std::size_t i = 0; i < t.size(); ++i) {
-    EXPECT_FLOAT_EQ(rounded[i],
-                    comm::half_to_float(comm::float_to_half(t[i])))
+    EXPECT_EQ(bits_of(rounded[i]),
+              bits_of(ops::half_to_float(ops::float_to_half(t[i]))))
         << "element " << i << " value " << t[i];
+  }
+
+  const float inf = std::numeric_limits<float>::infinity();
+  const float sub = std::ldexp(1.0f, -24);  // smallest binary16 subnormal
+  const std::vector<std::pair<float, float>> edges = {
+      {1e-6f, 17.0f * sub},    // subnormal: 11 significant bits do not fit
+      {3.3e-7f, 6.0f * sub},
+      {7e4f, inf},             // above 65504 + half an ulp: overflow
+      {1e5f, inf},
+      {-1e5f, -inf},
+      {65504.0f, 65504.0f},    // largest finite binary16
+      {-65504.0f, -65504.0f},
+      {std::ldexp(1.0f, -14), std::ldexp(1.0f, -14)},  // smallest normal
+      {sub, sub},
+      {-0.0f, -0.0f},
+  };
+  Tensor in({edges.size()});
+  for (std::size_t i = 0; i < edges.size(); ++i) in[i] = edges[i].first;
+  const Tensor out = ops::to_half_precision(in);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(bits_of(out[i]), bits_of(edges[i].second))
+        << edges[i].first << " -> " << out[i];
+    EXPECT_EQ(bits_of(out[i]),
+              bits_of(ops::half_to_float(ops::float_to_half(in[i]))))
+        << edges[i].first;
   }
 }
 

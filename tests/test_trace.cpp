@@ -10,13 +10,12 @@
 #include "moe/synthetic_router.h"
 #include "tensor/ops.h"
 #include "util/check.h"
+#include "temp_path.h"
 
 namespace vela {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::temp_path;
 
 moe::RoutingTrace sample_trace(std::size_t steps, std::size_t tokens = 32) {
   auto routing = moe::PlantedRouting::generate(3, 6, 8, 1.1, 5);

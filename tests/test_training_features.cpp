@@ -19,7 +19,7 @@ core::VelaSystemConfig base_config() {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 21;
-  cfg.wire_bits = 32;
+  cfg.wire_dtype = comm::WireDtype::kFp32;
   return cfg;
 }
 
@@ -32,8 +32,7 @@ data::SyntheticCorpus corpus_for(const model::ModelConfig& m,
 TEST(WireQuantization, HalfPrecisionTransportStaysCloseToExact) {
   auto exact_cfg = base_config();
   auto quant_cfg = base_config();
-  quant_cfg.wire_bits = 16;
-  quant_cfg.quantize_wire = true;
+  quant_cfg.wire_dtype = comm::WireDtype::kFp16;
 
   auto corpus = corpus_for(exact_cfg.model);
   core::VelaSystem exact(exact_cfg, &corpus);
@@ -53,8 +52,7 @@ TEST(WireQuantization, ConvergencePreserved) {
   auto exact_cfg = base_config();
   exact_cfg.adamw.lr = 1e-3f;
   auto quant_cfg = exact_cfg;
-  quant_cfg.wire_bits = 16;
-  quant_cfg.quantize_wire = true;
+  quant_cfg.wire_dtype = comm::WireDtype::kFp16;
 
   auto corpus = corpus_for(exact_cfg.model, 11);
   core::VelaSystem exact(exact_cfg, &corpus);

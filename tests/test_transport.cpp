@@ -33,6 +33,7 @@
 #include "util/audit.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "temp_path.h"
 
 namespace vela {
 namespace {
@@ -500,7 +501,6 @@ core::VelaSystemConfig vela_config(comm::TransportKind kind) {
   cfg.model = model::ModelConfig::tiny_test();
   cfg.cluster = cluster::ClusterConfig::paper_testbed();
   cfg.seed = 21;
-  cfg.wire_bits = 16;
   cfg.transport = kind;
   return cfg;
 }
@@ -531,9 +531,9 @@ VelaRunResult run_vela_two_steps(comm::TransportKind kind,
         vela.master().meter().num_steps() - 1));
   }
   result.requests = vela.master().broker().requests_sent();
-  const std::string ckpt = std::string(::testing::TempDir()) + "/transport_" +
-                           comm::transport_kind_name(kind) +
-                           (injector != nullptr ? "_faulted" : "") + ".ckpt";
+  const std::string ckpt = testutil::temp_path(
+      std::string("transport_") + comm::transport_kind_name(kind) +
+      (injector != nullptr ? "_faulted" : "") + ".ckpt");
   vela.save_checkpoint(ckpt);
   result.lifetime_bytes = vela.master().meter().lifetime_external_bytes();
   result.checkpoint_bytes = read_file_bytes(ckpt);
@@ -598,7 +598,7 @@ TEST(TransportEquivalence, EpRuntimeIsBitExactAcrossBackends) {
     cfg.cluster.num_nodes = 2;
     cfg.cluster.gpus_per_node = 1;
     cfg.seed = 33;
-    cfg.wire_bits = 16;
+    cfg.wire_dtype = comm::WireDtype::kFp16Accounted;
     cfg.transport = kind;
     data::SyntheticCorpus corpus(
         data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 55);

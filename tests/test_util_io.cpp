@@ -7,13 +7,12 @@
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/logging.h"
+#include "temp_path.h"
 
 namespace vela {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::temp_path;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);

@@ -18,7 +18,7 @@ core::WorkerSpec test_spec() {
   spec.hidden_dim = 16;
   spec.lora = nn::LoRAConfig{2, 4.0f, true};
   spec.base_seed = 11;
-  spec.wire_bits = 32;
+  spec.wire_dtype = comm::WireDtype::kFp32;
   return spec;
 }
 
