@@ -232,6 +232,25 @@ Variable gather_rows(const Variable& x, const std::vector<std::size_t>& indices)
   });
 }
 
+Tensor rows_of(const Variable& x, const std::vector<std::size_t>& indices) {
+  return ops::gather_rows(x.value(), indices);
+}
+
+Variable remote_rows(const Variable& x, std::vector<std::size_t> rows,
+                     Tensor value, PostGrad post) {
+  VELA_CHECK(!rows.empty() && value.rank() == 2 && value.rows() == rows.size());
+  auto idx = std::make_shared<const std::vector<std::size_t>>(std::move(rows));
+  return make_op(
+      std::move(value), {x}, [idx, post = std::move(post)](Node& n) {
+        Node& px = *n.parents[0];
+        px.defer_grad([idx, reply = post(n.grad), shape = px.value.shape()] {
+          Tensor dx(shape);
+          ops::scatter_add_rows(dx, reply(), *idx);
+          return dx;
+        });
+      });
+}
+
 Variable scatter_rows(const Variable& x, const std::vector<std::size_t>& indices,
                       std::size_t out_rows) {
   const Tensor& xv = x.value();

@@ -46,6 +46,25 @@ Variable gather_rows(const Variable& x, const std::vector<std::size_t>& indices)
 // accumulating on collisions (MoE combine).
 Variable scatter_rows(const Variable& x, const std::vector<std::size_t>& indices,
                       std::size_t out_rows);
+// Rows `indices` of x's value, off the tape (a remote group's payload).
+Tensor rows_of(const Variable& x, const std::vector<std::size_t>& indices);
+
+// --- remote computation ------------------------------------------------------
+// The wait for a remote backward's reply: returns dL/d(rows), one row per
+// dispatched row.
+using AwaitRows = std::function<Tensor()>;
+// Sends dL/dy for a remote computation and returns without waiting.
+using PostGrad = std::function<AwaitRows(const Tensor& dy)>;
+// The output `value` of a computation run elsewhere on rows `rows` of x (a
+// remote expert on its dispatched tokens). Backward calls post(dy) and
+// defers the returned wait onto x: when the sweep reaches x, the reply rows
+// are scattered into a zero tensor of x's shape and summed into x's grad in
+// the order the posts were made — the sum gather_rows' backward would have
+// formed. Every remote op consuming x has posted before the first wait, so
+// a backend's gradient round trips overlap. rows must be non-empty.
+Variable remote_rows(const Variable& x, std::vector<std::size_t> rows,
+                     Tensor value, PostGrad post);
+
 // Multiplies row i of x by weights[i] (rank-1 weights of length rows(x)) —
 // the per-token gate weighting of expert outputs.
 Variable scale_rows(const Variable& x, const Variable& weights);

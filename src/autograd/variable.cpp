@@ -10,12 +10,27 @@ namespace vela::ag {
 namespace detail {
 
 void Node::accumulate_grad(const Tensor& g) {
+  if (!pending.empty()) {
+    pending.push_back([g]() mutable { return std::move(g); });
+    return;
+  }
+  add_grad(g);
+}
+
+void Node::defer_grad(DeferredGrad g) { pending.push_back(std::move(g)); }
+
+void Node::resolve_pending() {
+  std::vector<DeferredGrad> queue;
+  queue.swap(pending);
+  for (DeferredGrad& g : queue) add_grad(g());
+}
+
+void Node::add_grad(Tensor g) {
   VELA_CHECK_MSG(g.same_shape(value),
-                 "gradient shape " << const_cast<Tensor&>(g).shape_string()
-                                   << " != value shape "
+                 "gradient shape " << g.shape_string() << " != value shape "
                                    << value.shape_string());
   if (!grad_ready) {
-    grad = g;
+    grad = std::move(g);
     grad_ready = true;
   } else {
     grad.add_(g);
@@ -131,23 +146,41 @@ void backward_from(const Variable& root, const Tensor& grad) {
 
   root.node()->accumulate_grad(grad);
   const bool auditing = audit::enabled();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    detail::Node* node = *it;
-    if (!node->backward_fn || !node->grad_ready) continue;
-    if (auditing) {
-      audit::check_backward_tensors(node->value, node->grad, "backward node");
-    }
-    node->backward_fn(*node);
-    if (auditing) {
-      // backward_fn just wrote into the parents' grads; validate each one
-      // while the producing node is still identifiable.
-      for (const auto& parent : node->parents) {
-        if (parent->grad_ready) {
-          audit::check_backward_tensors(parent->value, parent->grad,
-                                        "backward parent");
+  try {
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      detail::Node* node = *it;
+      // Every consumer of `node` has fired, so every deferred contribution
+      // to it is posted: wait for them now, in the order they were queued.
+      if (!node->pending.empty()) {
+        node->resolve_pending();
+        if (auditing && node->grad_ready) {
+          audit::check_backward_tensors(node->value, node->grad,
+                                        "resolved grad");
+        }
+      }
+      if (!node->backward_fn || !node->grad_ready) continue;
+      if (auditing) {
+        audit::check_backward_tensors(node->value, node->grad,
+                                      "backward node");
+      }
+      node->backward_fn(*node);
+      if (auditing) {
+        // backward_fn just wrote into the parents' grads; validate each one
+        // while the producing node is still identifiable.
+        for (const auto& parent : node->parents) {
+          if (parent->grad_ready) {
+            audit::check_backward_tensors(parent->value, parent->grad,
+                                          "backward parent");
+          }
         }
       }
     }
+  } catch (...) {
+    // A failed deferred entry (a remote reply that never came) aborts the
+    // sweep; drop every entry still queued so no node carries a stale
+    // contribution into the next backward.
+    for (detail::Node* node : order) node->pending.clear();
+    throw;
   }
 }
 

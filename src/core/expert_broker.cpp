@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 
+#include "autograd/ops.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -81,33 +82,25 @@ comm::Message ExpertBroker::await_reply(std::size_t worker,
       });
 }
 
-ag::Variable ExpertBroker::expert_forward(std::size_t layer,
-                                          std::size_t expert,
-                                          const ag::Variable& xs) {
-  auto out = experts_forward(layer, {{expert, xs}});
-  return out[0];
-}
-
 void ExpertBroker::send_prefetch_hints(
-    std::size_t layer,
-    const std::vector<std::pair<std::size_t, ag::Variable>>& groups) {
+    std::size_t layer, const std::vector<std::size_t>& experts) {
   // One hint per involved worker, workers ascending, naming every expert the
   // dispatch below will route to it. Raw sends on the underlying link: a
   // ReliableLink::post would track the hint as outstanding forever (nothing
   // ever awaits it), and a lost hint costs only the overlap it would have
   // bought — the demand path still pages the expert in.
   std::map<std::size_t, std::vector<std::size_t>> by_worker;
-  for (const auto& [expert, xs] : groups) {
+  for (const std::size_t expert : experts) {
     by_worker[placement_->worker_of(layer, expert)].push_back(expert);
   }
-  for (const auto& [worker, experts] : by_worker) {
+  for (const auto& [worker, hinted] : by_worker) {
     comm::Message msg;
     msg.type = comm::MessageType::kPrefetchExperts;
     msg.request_id = next_request_++;
     msg.layer = static_cast<std::uint32_t>(layer);
-    msg.payload = Tensor({experts.size()});
-    for (std::size_t i = 0; i < experts.size(); ++i) {
-      msg.payload[i] = static_cast<float>(experts[i]);
+    msg.payload = Tensor({hinted.size()});
+    for (std::size_t i = 0; i < hinted.size(); ++i) {
+      msg.payload[i] = static_cast<float>(hinted[i]);
     }
     account(layer, /*backward=*/false, worker, msg.wire_size(), 1);
     // A severed channel surfaces on the very next post(); the hint itself is
@@ -117,27 +110,34 @@ void ExpertBroker::send_prefetch_hints(
 }
 
 std::vector<ag::Variable> ExpertBroker::experts_forward(
-    std::size_t layer,
-    const std::vector<std::pair<std::size_t, ag::Variable>>& groups) {
-  if (store_hints_ && !groups.empty()) send_prefetch_hints(layer, groups);
-  if (overlap_chunks_ >= 2) return experts_forward_chunked(layer, groups);
+    std::size_t layer, const ag::Variable& x,
+    const std::vector<std::vector<std::size_t>>& expert_tokens) {
+  std::vector<std::size_t> experts;
+  for (std::size_t e = 0; e < expert_tokens.size(); ++e) {
+    if (!expert_tokens[e].empty()) experts.push_back(e);
+  }
+  if (store_hints_ && !experts.empty()) send_prefetch_hints(layer, experts);
+  if (overlap_chunks_ >= 2) {
+    return experts_forward_chunked(layer, x, expert_tokens, experts);
+  }
   struct Outstanding {
     std::size_t worker;
     std::uint64_t request_id;
-    std::size_t expert;
   };
   // Overlap dispatch serialization with itself: the per-group wire payloads
-  // (fp16/int8 quantization, or a plain copy) are built as parallel tasks before
-  // the sequential post loop, so expert compute on the workers starts while
-  // later groups are still being packed. Posting order, accounting order and
-  // byte counts are exactly the serial ones — only the packing is concurrent.
-  std::vector<Tensor> wire(groups.size());
+  // (gather, then fp16/int8 quantization or a plain copy) are built as
+  // parallel tasks before the sequential post loop, so expert compute on the
+  // workers starts while later groups are still being packed. Posting
+  // order, accounting order and byte counts are exactly the serial ones —
+  // only the packing is concurrent.
+  std::vector<Tensor> wire(experts.size());
   {
     std::vector<std::function<void()>> tasks;
-    tasks.reserve(groups.size());
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      tasks.push_back([this, &groups, &wire, i] {
-        wire[i] = codec_.apply(groups[i].second.value());
+    tasks.reserve(experts.size());
+    for (std::size_t i = 0; i < experts.size(); ++i) {
+      tasks.push_back([this, &x, &expert_tokens, &experts, &wire, i] {
+        wire[i] = codec_.apply(
+            ops::gather_rows(x.value(), expert_tokens[experts[i]]));
       });
     }
     util::ThreadPool::global().run(tasks);
@@ -146,56 +146,56 @@ std::vector<ag::Variable> ExpertBroker::experts_forward(
   // Token dispatcher: send every group before receiving anything, so all
   // workers compute concurrently.
   std::vector<Outstanding> outstanding;
-  outstanding.reserve(groups.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    const std::size_t expert = groups[i].first;
-    const std::size_t worker = placement_->worker_of(layer, expert);
+  outstanding.reserve(experts.size());
+  for (std::size_t i = 0; i < experts.size(); ++i) {
+    const std::size_t worker = placement_->worker_of(layer, experts[i]);
     const std::uint64_t request_id = next_request_++;
     comm::Message msg;
     msg.type = comm::MessageType::kExpertForward;
     msg.request_id = request_id;
     msg.layer = static_cast<std::uint32_t>(layer);
-    msg.expert = static_cast<std::uint32_t>(expert);
+    msg.expert = static_cast<std::uint32_t>(experts[i]);
     msg.payload = std::move(wire[i]);
     codec_.stamp(msg);
     account(layer, /*backward=*/false, worker, msg.wire_size(), 1);
     rlinks_[worker]->post(std::move(msg));
-    outstanding.push_back({worker, request_id, expert});
+    outstanding.push_back({worker, request_id});
   }
 
-  // Token receiver: collect results in send order (FIFO per worker).
+  // Token receiver: collect results in send order (FIFO per worker), and
+  // wire each into the master tape. The gradient dispatcher posts dL/dy
+  // when the sweep passes the output; the gradient receiver's wait runs
+  // when it reaches x, after every group of the layer has posted.
   std::vector<ag::Variable> results;
-  results.reserve(groups.size());
+  results.reserve(experts.size());
   for (std::size_t i = 0; i < outstanding.size(); ++i) {
-    const Outstanding& o = outstanding[i];
+    const std::size_t worker = outstanding[i].worker;
+    const std::uint64_t request_id = outstanding[i].request_id;
     comm::Message reply =
-        await_reply(o.worker, comm::MessageType::kExpertForwardResult,
-                    o.request_id, layer, /*backward=*/false);
-    account(layer, /*backward=*/false, o.worker, reply.wire_size(), 1);
-
-    // Wire the remote computation into the master tape: the backward closure
-    // is the gradient dispatcher/receiver.
-    const std::size_t worker = o.worker;
-    const std::uint64_t request_id = o.request_id;
-    const std::uint32_t expert32 = static_cast<std::uint32_t>(o.expert);
+        await_reply(worker, comm::MessageType::kExpertForwardResult,
+                    request_id, layer, /*backward=*/false);
+    account(layer, /*backward=*/false, worker, reply.wire_size(), 1);
+    const std::uint32_t expert32 = static_cast<std::uint32_t>(experts[i]);
     const std::uint32_t layer32 = static_cast<std::uint32_t>(layer);
-    results.push_back(ag::make_op(
-        std::move(reply.payload), {groups[i].second},
-        [this, worker, request_id, layer32, expert32](ag::detail::Node& n) {
+    results.push_back(ag::remote_rows(
+        x, expert_tokens[experts[i]], std::move(reply.payload),
+        [this, worker, request_id, layer32, expert32](const Tensor& dy) {
           comm::Message grad_msg;
           grad_msg.type = comm::MessageType::kExpertBackward;
           grad_msg.request_id = request_id;
           grad_msg.layer = layer32;
           grad_msg.expert = expert32;
-          grad_msg.payload = codec_.apply(n.grad);
+          grad_msg.payload = codec_.apply(dy);
           codec_.stamp(grad_msg);
           account(layer32, /*backward=*/true, worker, grad_msg.wire_size(), 1);
           rlinks_[worker]->post(std::move(grad_msg));
-          comm::Message dx =
-              await_reply(worker, comm::MessageType::kExpertBackwardResult,
-                          request_id, layer32, /*backward=*/true);
-          account(layer32, /*backward=*/true, worker, dx.wire_size(), 1);
-          n.parents[0]->accumulate_grad(dx.payload);
+          return [this, worker, request_id, layer32] {
+            comm::Message dx =
+                await_reply(worker, comm::MessageType::kExpertBackwardResult,
+                            request_id, layer32, /*backward=*/true);
+            account(layer32, /*backward=*/true, worker, dx.wire_size(), 1);
+            return std::move(dx.payload);
+          };
         }));
   }
   return results;
@@ -227,8 +227,9 @@ comm::Message ExpertBroker::await_train_reply(
 }
 
 std::vector<ag::Variable> ExpertBroker::experts_forward_chunked(
-    std::size_t layer,
-    const std::vector<std::pair<std::size_t, ag::Variable>>& groups) {
+    std::size_t layer, const ag::Variable& x,
+    const std::vector<std::vector<std::size_t>>& expert_tokens,
+    const std::vector<std::size_t>& experts) {
   struct GroupPlan {
     std::size_t expert = 0;
     std::size_t worker = 0;
@@ -238,13 +239,13 @@ std::vector<ag::Variable> ExpertBroker::experts_forward_chunked(
     std::vector<Tensor> wire;                 // per-chunk request payloads
     std::vector<Tensor> result;               // per-chunk reply payloads
   };
-  std::vector<GroupPlan> plans(groups.size());
+  std::vector<GroupPlan> plans(experts.size());
   std::size_t max_chunks = 0;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
+  for (std::size_t g = 0; g < experts.size(); ++g) {
     GroupPlan& p = plans[g];
-    p.expert = groups[g].first;
+    p.expert = experts[g];
     p.worker = placement_->worker_of(layer, p.expert);
-    p.rows = chunk_row_counts(groups[g].second.value().rows(), overlap_chunks_);
+    p.rows = chunk_row_counts(expert_tokens[p.expert].size(), overlap_chunks_);
     p.begin.resize(p.rows.size());
     std::size_t at = 0;
     for (std::size_t c = 0; c < p.rows.size(); ++c) {
@@ -258,18 +259,24 @@ std::vector<ag::Variable> ExpertBroker::experts_forward_chunked(
     max_chunks = std::max(max_chunks, p.rows.size());
   }
 
-  // Pack every chunk's wire payload as parallel tasks. Slice-then-quantize
-  // equals quantize-then-slice bitwise for every dtype: fp16 rounding is
+  // Pack every chunk's wire payload as parallel tasks. A chunk gathers its
+  // own slice of the group's token list. Slice-then-quantize equals
+  // quantize-then-slice bitwise for every dtype: fp16 rounding is
   // elementwise, and the int8 tier's blocks never span rows (qblock.h), so
   // a row slice carries exactly its own blocks and scales.
   {
     std::vector<std::function<void()>> tasks;
     for (std::size_t g = 0; g < plans.size(); ++g) {
       for (std::size_t c = 0; c < plans[g].rows.size(); ++c) {
-        tasks.push_back([this, &groups, &plans, g, c] {
+        tasks.push_back([this, &x, &expert_tokens, &plans, g, c] {
           GroupPlan& p = plans[g];
-          p.wire[c] = codec_.apply(ops::slice_rows(groups[g].second.value(),
-                                                   p.begin[c], p.rows[c]));
+          const auto first =
+              expert_tokens[p.expert].begin() +
+              static_cast<std::ptrdiff_t>(p.begin[c]);
+          p.wire[c] = codec_.apply(ops::gather_rows(
+              x.value(),
+              std::vector<std::size_t>(
+                  first, first + static_cast<std::ptrdiff_t>(p.rows[c]))));
         });
       }
     }
@@ -317,21 +324,20 @@ std::vector<ag::Variable> ExpertBroker::experts_forward_chunked(
 
   // Merge in fixed chunk order (per-chunk forward equals full-batch forward
   // row-for-row: the expert kernels are row-local) and wire each group into
-  // the master tape. The backward closure ships dL/dy as the same fragment
-  // train and reassembles dL/dx from the per-fragment replies.
+  // the master tape. Backward posts dL/dy as the same fragment train when
+  // the sweep passes the output; the wait, at x, reassembles dL/dx from the
+  // per-fragment replies.
   std::vector<ag::Variable> results;
-  results.reserve(groups.size());
-  for (std::size_t g = 0; g < plans.size(); ++g) {
-    GroupPlan& p = plans[g];
-    Tensor merged = ops::concat_rows(p.result);
+  results.reserve(plans.size());
+  for (GroupPlan& p : plans) {
     const std::size_t worker = p.worker;
     const std::uint64_t base_id = p.base_id;
     const std::uint32_t expert32 = static_cast<std::uint32_t>(p.expert);
     const std::uint32_t layer32 = static_cast<std::uint32_t>(layer);
-    results.push_back(ag::make_op(
-        std::move(merged), {groups[g].second},
+    results.push_back(ag::remote_rows(
+        x, expert_tokens[p.expert], ops::concat_rows(p.result),
         [this, worker, base_id, layer32, expert32, rows = p.rows,
-         begin = p.begin](ag::detail::Node& n) {
+         begin = p.begin](const Tensor& dy) {
           const std::size_t k = rows.size();
           std::vector<comm::Message> train(k);
           for (std::size_t c = 0; c < k; ++c) {
@@ -342,22 +348,23 @@ std::vector<ag::Variable> ExpertBroker::experts_forward_chunked(
             m.expert = expert32;
             m.chunk_index = static_cast<std::uint8_t>(c);
             m.chunk_count = static_cast<std::uint8_t>(k);
-            m.payload =
-                codec_.apply(ops::slice_rows(n.grad, begin[c], rows[c]));
+            m.payload = codec_.apply(ops::slice_rows(dy, begin[c], rows[c]));
             codec_.stamp(m);
             account(layer32, /*backward=*/true, worker, m.wire_size(),
                     c == 0 ? 1 : 0);
             rlinks_[worker]->post(comm::Message(m));  // keep the train copy
           }
-          std::vector<Tensor> dx(k);
-          for (std::size_t c = 0; c < k; ++c) {
-            comm::Message reply =
-                await_train_reply(worker, base_id + c, layer32, train);
-            account(layer32, /*backward=*/true, worker, reply.wire_size(),
-                    c == 0 ? 1 : 0);
-            dx[c] = std::move(reply.payload);
-          }
-          n.parents[0]->accumulate_grad(ops::concat_rows(dx));
+          return [this, worker, base_id, layer32, train = std::move(train)] {
+            std::vector<Tensor> dx(train.size());
+            for (std::size_t c = 0; c < train.size(); ++c) {
+              comm::Message reply =
+                  await_train_reply(worker, base_id + c, layer32, train);
+              account(layer32, /*backward=*/true, worker, reply.wire_size(),
+                      c == 0 ? 1 : 0);
+              dx[c] = std::move(reply.payload);
+            }
+            return ops::concat_rows(dx);
+          };
         }));
   }
   return results;

@@ -4,10 +4,16 @@
 // Forward (token dispatcher / receiver): every non-empty expert group of a
 // block is sent to whichever worker the current placement assigns the expert
 // to — all sends first, then all receives, so workers overlap. The returned
-// Variables join the master's autograd tape through a custom op whose
-// backward closure implements the gradient dispatcher / receiver: it ships
-// dL/dy to the hosting worker, which backpropagates through its local tape
-// (accumulating expert-adapter gradients on the worker) and returns dL/dx.
+// Variables join the master's autograd tape through ag::remote_rows on the
+// block's normed input x, which splits backward the same way (gradient
+// dispatcher / receiver): as the sweep passes each output it ships dL/dy to
+// the hosting worker, which backpropagates through its local tape
+// (accumulating expert-adapter gradients on the worker) and returns dL/dx;
+// the waits for those replies run when the sweep reaches x, after every
+// group of the block has posted. So a block's gradient round trips overlap
+// across workers as its forward ones do, and dL/dx is summed into x in the
+// order a blocking closure per group gave (moe_block.h says why that order
+// rules out one autograd node per block).
 //
 // Requests travel over ReliableLinks (core/fault_tolerance.h): lost or
 // corrupted messages are retransmitted with backoff, duplicates discarded,
@@ -41,11 +47,9 @@ class ExpertBroker : public moe::ExpertBackend {
                const placement::Placement* placement, std::size_t num_layers,
                const comm::WireCodec& codec);
 
-  ag::Variable expert_forward(std::size_t layer, std::size_t expert,
-                              const ag::Variable& xs) override;
   std::vector<ag::Variable> experts_forward(
-      std::size_t layer,
-      const std::vector<std::pair<std::size_t, ag::Variable>>& groups) override;
+      std::size_t layer, const ag::Variable& x,
+      const std::vector<std::vector<std::size_t>>& expert_tokens) override;
 
   void set_placement(const placement::Placement* placement);
   const placement::Placement* placement() const { return placement_; }
@@ -89,19 +93,22 @@ class ExpertBroker : public moe::ExpertBackend {
                             bool backward_phase);
 
   // Sends the kPrefetchExperts hints for one dispatch (store_hints_ only).
-  void send_prefetch_hints(
-      std::size_t layer,
-      const std::vector<std::pair<std::size_t, ag::Variable>>& groups);
+  void send_prefetch_hints(std::size_t layer,
+                           const std::vector<std::size_t>& experts);
 
-  // The overlap pipeline's experts_forward (overlap_chunks_ >= 2).
+  // The overlap pipeline's experts_forward (overlap_chunks_ >= 2);
+  // `experts` lists the non-empty groups, ascending.
   std::vector<ag::Variable> experts_forward_chunked(
-      std::size_t layer,
-      const std::vector<std::pair<std::size_t, ag::Variable>>& groups);
+      std::size_t layer, const ag::Variable& x,
+      const std::vector<std::vector<std::size_t>>& expert_tokens,
+      const std::vector<std::size_t>& experts);
   // Awaits one fragment's backward reply. A worker answers a fragment train
   // only once the whole train has arrived, so a lost fragment cannot be
   // recovered by retransmitting the awaited one alone: on timeout the entire
   // train is re-posted (charged to the ledger like any retransmission),
   // bounded by the link's RetryPolicy.
+  // Other trains of the block may be outstanding meanwhile; the link stashes
+  // their replies for their own waits.
   comm::Message await_train_reply(std::size_t worker, std::uint64_t request_id,
                                   std::size_t layer,
                                   const std::vector<comm::Message>& train);

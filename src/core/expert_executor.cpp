@@ -150,8 +150,9 @@ bool ExpertExecutor::backward(std::span<comm::Message> run,
   // when their last fragment lands; a duplicate fragment of an incomplete
   // train is ignored (the retransmission that completes it is the one that
   // matters). Unfragmented messages take the grouped-parallel path below.
-  // The master serializes backward round trips, so a run never mixes the
-  // two in practice; handling both keeps the contract local.
+  // A master posts a block's gradients all at once, but at one pipeline
+  // depth, so a run never mixes the two in practice; handling both keeps
+  // the contract local.
   std::vector<std::size_t> plain;
   plain.reserve(valid);
   for (std::size_t i = 0; i < valid; ++i) {

@@ -11,7 +11,7 @@
 #include "autograd/ops.h"
 #include "comm/phase_ledger.h"
 #include "core/expert_executor.h"
-#include "moe/moe_block.h"
+#include "ep/peer_backend.h"
 #include "util/audit.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -216,142 +216,6 @@ class ExpertServer {
   core::ExpertExecutor executor_;
   std::map<ExpertKey, Staged> staged_;  // one entry per hosted expert
   std::thread thread_;
-};
-
-// ---------------------------------------------------------------------------
-// Peer backend: a shard's MoE dispatch — all-to-all to the owning servers.
-// ---------------------------------------------------------------------------
-class PeerBackend : public moe::ExpertBackend {
- public:
-  PeerBackend(std::size_t shard, std::size_t num_shards,
-              std::size_t num_layers, comm::WireCodec codec,
-              const cluster::ClusterTopology* topology,
-              comm::TrafficMeter* meter,
-              std::vector<comm::Endpoint*> to_server,
-              std::vector<comm::Endpoint*> from_server)
-      : shard_(shard),
-        num_shards_(num_shards),
-        num_layers_(num_layers),
-        codec_(codec),
-        topology_(topology),
-        meter_(meter),
-        to_server_(std::move(to_server)),
-        from_server_(std::move(from_server)),
-        ledger_(num_layers, num_shards, num_shards),
-        next_request_((static_cast<std::uint64_t>(shard) << 48) + 1) {}
-
-  // This shard's contribution to the step's per-phase all-to-all ledger
-  // (requests it sends, replies it receives) — phases are forward blocks
-  // 0..L−1 then backward L−1..0, the shared PhaseLedger convention. Each
-  // shard writes only its own ledger; the runtime merges them after joining
-  // the shard threads, so no cell is ever written concurrently.
-  comm::EpStepRecord take_record() { return ledger_.take_ep(); }
-
-  ag::Variable expert_forward(std::size_t layer, std::size_t expert,
-                              const ag::Variable& xs) override {
-    return experts_forward(layer, {{expert, xs}})[0];
-  }
-
-  std::vector<ag::Variable> experts_forward(
-      std::size_t layer,
-      const std::vector<std::pair<std::size_t, ag::Variable>>& groups)
-      override {
-    struct Outstanding {
-      std::size_t owner;
-      std::uint64_t request_id;
-      std::uint32_t expert;
-    };
-    std::vector<Outstanding> outstanding;
-    outstanding.reserve(groups.size());
-    // Dispatch phase of the all-to-all: send every group first.
-    for (const auto& [expert, xs] : groups) {
-      const std::size_t owner = expert % num_shards_;
-      comm::Message msg;
-      msg.type = comm::MessageType::kExpertForward;
-      msg.request_id = next_request_++;
-      msg.source = static_cast<std::uint32_t>(shard_);
-      msg.layer = static_cast<std::uint32_t>(layer);
-      msg.expert = static_cast<std::uint32_t>(expert);
-      msg.payload = codec_.apply(xs.value());
-      codec_.stamp(msg);
-      record(owner, msg.wire_size());
-      account(layer, /*backward=*/false, shard_, owner, msg.wire_size());
-      outstanding.push_back(
-          {owner, msg.request_id, static_cast<std::uint32_t>(expert)});
-      VELA_CHECK(to_server_[owner]->send(std::move(msg)));
-    }
-    // Gather phase: collect in send order (FIFO per server per source).
-    std::vector<ag::Variable> results;
-    results.reserve(groups.size());
-    for (std::size_t i = 0; i < outstanding.size(); ++i) {
-      const Outstanding& o = outstanding[i];
-      comm::Message reply = await(o.owner, o.request_id,
-                                  comm::MessageType::kExpertForwardResult);
-      account(layer, /*backward=*/false, o.owner, shard_, reply.wire_size());
-      const std::size_t owner = o.owner;
-      const std::uint64_t request_id = o.request_id;
-      const std::uint32_t layer32 = static_cast<std::uint32_t>(layer);
-      const std::uint32_t expert32 = o.expert;
-      results.push_back(ag::make_op(
-          std::move(reply.payload), {groups[i].second},
-          [this, owner, request_id, layer32, expert32](ag::detail::Node& n) {
-            comm::Message grad_msg;
-            grad_msg.type = comm::MessageType::kExpertBackward;
-            grad_msg.request_id = request_id;
-            grad_msg.source = static_cast<std::uint32_t>(shard_);
-            grad_msg.layer = layer32;
-            grad_msg.expert = expert32;
-            grad_msg.payload = codec_.apply(n.grad);
-            codec_.stamp(grad_msg);
-            record(owner, grad_msg.wire_size());
-            account(layer32, /*backward=*/true, shard_, owner,
-                    grad_msg.wire_size());
-            VELA_CHECK(to_server_[owner]->send(std::move(grad_msg)));
-            comm::Message dx = await(
-                owner, request_id, comm::MessageType::kExpertBackwardResult);
-            account(layer32, /*backward=*/true, owner, shard_, dx.wire_size());
-            n.parents[0]->accumulate_grad(dx.payload);
-          }));
-    }
-    return results;
-  }
-
- private:
-  void record(std::size_t owner, std::uint64_t bytes) {
-    // Server inboxes are shared across sources, so requests are attributed
-    // here; replies are metered by the per-pair reply channels themselves.
-    meter_->record(topology_->node_of(shard_), topology_->node_of(owner),
-                   bytes);
-  }
-
-  void account(std::size_t layer, bool backward, std::size_t src,
-               std::size_t dst, std::uint64_t bytes) {
-    ledger_.charge(layer, backward, src, dst, bytes, 1);
-  }
-
-  comm::Message await(std::size_t owner, std::uint64_t request_id,
-                      comm::MessageType expected) {
-    auto maybe = from_server_[owner]->receive();
-    VELA_CHECK_MSG(maybe.has_value(), "EP server " << owner
-                                                   << " channel closed");
-    VELA_CHECK_MSG(maybe->type == expected && maybe->request_id == request_id,
-                   "EP protocol violation: expected "
-                       << message_type_name(expected) << "/" << request_id
-                       << ", got " << maybe->to_string());
-    return std::move(*maybe);
-  }
-
-  std::size_t shard_, num_shards_, num_layers_;
-  // Dispatch-payload codec (comm/wire_codec.h) — all-to-all requests and
-  // the backward gradient exchange; the backbone ring all-reduce keeps the
-  // legacy raw-fp32 accounting below.
-  comm::WireCodec codec_;
-  const cluster::ClusterTopology* topology_;
-  comm::TrafficMeter* meter_;
-  std::vector<comm::Endpoint*> to_server_;
-  std::vector<comm::Endpoint*> from_server_;
-  comm::PhaseLedger ledger_;
-  std::uint64_t next_request_;
 };
 
 // ---------------------------------------------------------------------------

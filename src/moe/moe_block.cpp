@@ -1,5 +1,7 @@
 #include "moe/moe_block.h"
 
+#include <numeric>
+
 #include "util/check.h"
 
 namespace vela::moe {
@@ -24,10 +26,25 @@ LocalExpertBackend::LocalExpertBackend(std::size_t num_layers,
   }
 }
 
-ag::Variable LocalExpertBackend::expert_forward(std::size_t layer,
-                                                std::size_t expert,
-                                                const ag::Variable& xs) {
-  return this->expert(layer, expert).forward(xs);
+ag::Variable ExpertBackend::expert_forward(std::size_t layer,
+                                           std::size_t expert,
+                                           const ag::Variable& xs) {
+  std::vector<std::vector<std::size_t>> tokens(expert + 1);
+  tokens[expert].resize(xs.value().rows());
+  std::iota(tokens[expert].begin(), tokens[expert].end(), std::size_t{0});
+  return experts_forward(layer, xs, tokens).at(0);
+}
+
+std::vector<ag::Variable> LocalExpertBackend::experts_forward(
+    std::size_t layer, const ag::Variable& x,
+    const std::vector<std::vector<std::size_t>>& expert_tokens) {
+  std::vector<ag::Variable> out;
+  for (std::size_t e = 0; e < expert_tokens.size(); ++e) {
+    if (expert_tokens[e].empty()) continue;
+    out.push_back(
+        expert(layer, e).forward(ag::gather_rows(x, expert_tokens[e])));
+  }
+  return out;
 }
 
 nn::SwiGLUExpert& LocalExpertBackend::expert(std::size_t layer,
@@ -58,17 +75,10 @@ ag::Variable MoEBlock::forward(const ag::Variable& x, RoutingStats* stats) {
 
   const std::size_t n = plan.num_tokens;
 
-  // Dispatch: gather every expert's token group, then hand the whole block
-  // to the backend at once so a distributed backend can overlap workers.
-  std::vector<std::pair<std::size_t, ag::Variable>> groups;
-  for (std::size_t e = 0; e < plan.num_experts; ++e) {
-    const auto& tokens = plan.expert_tokens[e];
-    if (tokens.empty()) continue;
-    groups.emplace_back(e, ag::gather_rows(x, tokens));
-  }
+  // Dispatch: hand the whole block to the backend at once so a distributed
+  // backend can overlap workers, in forward and in backward.
   const std::vector<ag::Variable> outputs =
-      backend_->experts_forward(layer_, groups);
-  VELA_CHECK(outputs.size() == groups.size());
+      backend_->experts_forward(layer_, x, plan.expert_tokens);
 
   // Combine: weight each expert output by its (differentiable) gate share
   // and scatter back to token positions (Eq. (1)).
@@ -80,11 +90,12 @@ ag::Variable MoEBlock::forward(const ag::Variable& x, RoutingStats* stats) {
     ag::Variable w =
         ag::slice_vec(gate_out.combine_weights, offset, tokens.size());
     ag::Variable contribution =
-        ag::scatter_rows(ag::scale_rows(outputs[gi], w), tokens, n);
+        ag::scatter_rows(ag::scale_rows(outputs.at(gi), w), tokens, n);
     result = result.defined() ? ag::add(result, contribution) : contribution;
     offset += tokens.size();
     ++gi;
   }
+  VELA_CHECK(gi == outputs.size());
   VELA_CHECK_MSG(result.defined(), "MoE block produced no expert output");
   return result;
 }

@@ -5,7 +5,7 @@
 //
 //   * LocalExpertBackend  — experts in-process (dense reference execution,
 //     used for correctness tests and single-device baselines);
-//   * BrokerExpertBackend — VELA's Expert Broker (src/core), which dispatches
+//   * core::ExpertBroker — VELA's Expert Broker (src/core), which dispatches
 //     token blocks to remote worker processes and stitches the returned
 //     activations/gradients into the master tape;
 //   * the EP baseline's sharded backend (src/ep).
@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "moe/gate.h"
@@ -34,26 +33,30 @@ class ExpertBackend {
  public:
   virtual ~ExpertBackend() = default;
 
-  // Computes expert `expert` of block `layer` on the gathered token block
-  // `xs` ([n_e, H]) and returns its output as a Variable wired into the
-  // caller's autograd tape.
-  virtual ag::Variable expert_forward(std::size_t layer, std::size_t expert,
-                                      const ag::Variable& xs) = 0;
-
-  // Batched form: all non-empty expert groups of one block at once. The
-  // default loops over expert_forward; distributed backends override it to
-  // dispatch every group before collecting any result, so workers compute
-  // in parallel (the master's one-to-all pattern of §V-B).
+  // Runs block `layer`'s experts on its normed input x ([n, H]): expert e
+  // computes rows expert_tokens[e] of x. Returns one output per non-empty
+  // group, in ascending expert order, wired into the caller's autograd tape.
+  //
+  // The backend owns the gather. A distributed backend dispatches every
+  // group before collecting any result (the master's one-to-all pattern of
+  // §V-B), and builds each output with ag::remote_rows straight on x: in
+  // backward, every group of the block posts its dL/dy as the sweep passes
+  // it, and the waits for dL/dx run when the sweep reaches x — after every
+  // post. The sum into x's grad keeps the order per-group gather nodes give
+  // it: g_{G-1} … g_1, then the gate's dx (the sweep reaches the gate
+  // through group 0's combine weight, before group 0's output), then g_0.
+  // One autograd node per layer owning every group would fire after the
+  // gate and move the gate's term first, changing the float sum.
   virtual std::vector<ag::Variable> experts_forward(
-      std::size_t layer,
-      const std::vector<std::pair<std::size_t, ag::Variable>>& groups) {
-    std::vector<ag::Variable> out;
-    out.reserve(groups.size());
-    for (const auto& [expert, xs] : groups) {
-      out.push_back(expert_forward(layer, expert, xs));
-    }
-    return out;
-  }
+      std::size_t layer, const ag::Variable& x,
+      const std::vector<std::vector<std::size_t>>& expert_tokens) = 0;
+
+  // One expert on every row of xs (tests). The −0 trap: dx reaches xs
+  // through a scatter into zeros (gather_rows' or remote_rows' backward),
+  // where −0 + +0 = +0, while an op applied to xs directly passes −0
+  // through; compare such gradients with a tolerance, not bit for bit.
+  ag::Variable expert_forward(std::size_t layer, std::size_t expert,
+                              const ag::Variable& xs);
 };
 
 // In-process backend owning all experts of all layers. Expert (l, e) is
@@ -65,8 +68,11 @@ class LocalExpertBackend : public ExpertBackend, public nn::Module {
                      std::size_t model_dim, std::size_t hidden_dim,
                      const nn::LoRAConfig& lora, std::uint64_t base_seed);
 
-  ag::Variable expert_forward(std::size_t layer, std::size_t expert,
-                              const ag::Variable& xs) override;
+  // Gathers eagerly: each group is an ag::gather_rows of x fed to the
+  // in-process expert.
+  std::vector<ag::Variable> experts_forward(
+      std::size_t layer, const ag::Variable& x,
+      const std::vector<std::vector<std::size_t>>& expert_tokens) override;
 
   nn::SwiGLUExpert& expert(std::size_t layer, std::size_t e);
   std::size_t num_layers() const { return layers_; }

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "tensor/ops.h"
 #include "util/check.h"
@@ -241,6 +245,150 @@ TEST(Autograd, DeepChainDoesNotOverflow) {
   for (int i = 0; i < 2000; ++i) y = ag::scale(y, 1.0f);
   ag::backward(ag::sum(y));
   EXPECT_EQ(x.grad()[0], 1.0f);
+}
+
+// --- deferred contributions --------------------------------------------------
+
+// How op i of contribution_graph hands its contribution to x.
+enum class Mode { kEager, kDeferred, kThrows };
+
+// x receives contribution c[i] from op i. The root lists the ops in index
+// order, so the reverse sweep fires them last to first: c[n-1] reaches x
+// first. Eager ops accumulate at once; deferred ones queue a thunk.
+Variable contribution_graph(const Variable& x, const std::vector<Tensor>& c,
+                            const std::vector<Mode>& modes) {
+  std::vector<Variable> users;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    users.push_back(ag::make_op(
+        Tensor({1}), {x}, [g = c[i], mode = modes[i]](ag::detail::Node& n) {
+          ag::detail::Node& px = *n.parents[0];
+          switch (mode) {
+            case Mode::kEager:
+              px.accumulate_grad(g);
+              break;
+            case Mode::kDeferred:
+              px.defer_grad([g] { return g; });
+              break;
+            case Mode::kThrows:
+              px.defer_grad([]() -> Tensor {
+                throw std::runtime_error("reply never came");
+              });
+              break;
+          }
+        }));
+  }
+  return ag::make_op(Tensor({1}), users, [](ag::detail::Node& n) {
+    for (auto& p : n.parents) p->accumulate_grad(Tensor::ones({1}));
+  });
+}
+
+// Columns: all −0 (the first contribution must be copied, not added to a
+// +0 buffer), mixed signed zeros, an order-sensitive float sum, noise.
+std::vector<Tensor> contributions() {
+  const float big = 1e8f;
+  // Summed in firing order (index 5 first) this is 3; a 1 added before the
+  // ±big pair cancels is absorbed, so any reordering loses at least one.
+  const float col2[] = {1.0f, 1.0f, 1.0f, -big, 1.0f, big};
+  const float col1[] = {-0.0f, 0.0f, -0.0f, -0.0f, 0.0f, -0.0f};
+  Rng rng(4);
+  std::vector<Tensor> c;
+  for (std::size_t i = 0; i < 6; ++i) {
+    Tensor t({4});
+    t[0] = -0.0f;
+    t[1] = col1[i];
+    t[2] = col2[i];
+    t[3] = static_cast<float>(rng.normal());
+    c.push_back(t);
+  }
+  return c;
+}
+
+Tensor grad_of(const std::vector<Mode>& modes) {
+  Variable x = Variable::leaf(Tensor({4}), true);
+  ag::backward(contribution_graph(x, contributions(), modes));
+  EXPECT_TRUE(x.node()->pending.empty());
+  return x.grad();
+}
+
+TEST(AutogradDeferred, InterleavedContributionsMatchEagerBitForBit) {
+  using M = Mode;
+  const Tensor eager = grad_of(std::vector<Mode>(6, M::kEager));
+  EXPECT_TRUE(std::signbit(eager[0]));  // −0 survives: copied, then added
+  EXPECT_EQ(eager[2], 3.0f);
+  for (const auto& modes : std::vector<std::vector<Mode>>{
+           {M::kDeferred, M::kEager, M::kDeferred, M::kEager, M::kEager,
+            M::kDeferred},
+           {M::kEager, M::kEager, M::kEager, M::kEager, M::kEager,
+            M::kDeferred},
+           {M::kDeferred, M::kEager, M::kEager, M::kEager, M::kEager,
+            M::kEager},
+           std::vector<Mode>(6, M::kDeferred)}) {
+    const Tensor mixed = grad_of(modes);
+    EXPECT_EQ(0, std::memcmp(mixed.data(), eager.data(), 4 * sizeof(float)));
+  }
+}
+
+TEST(AutogradDeferred, ThrowingThunkPropagatesAndLeavesNothingPending) {
+  Variable x = Variable::leaf(Tensor({4}), true);
+  // An interior node between x and the ops: it holds the queue that throws.
+  Variable y = ag::make_op(Tensor({4}), {x}, [](ag::detail::Node& n) {
+    n.parents[0]->accumulate_grad(n.grad);
+  });
+  const std::vector<Tensor> c = contributions();
+  Variable root = contribution_graph(
+      y, {c[0], c[1], c[2]}, {Mode::kDeferred, Mode::kThrows, Mode::kEager});
+  EXPECT_THROW(ag::backward(root), std::runtime_error);
+  EXPECT_TRUE(y.node()->pending.empty());
+  EXPECT_TRUE(x.node()->pending.empty());
+  EXPECT_FALSE(x.has_grad());  // the sweep never reached x
+
+  // The leaf carries nothing stale into the next backward.
+  ag::backward(contribution_graph(x, {c[3]}, {Mode::kDeferred}));
+  EXPECT_EQ(0, std::memcmp(x.grad().data(), c[3].data(), 4 * sizeof(float)));
+}
+
+TEST(AutogradDeferred, LeafContributionsResolvedBeforeBackwardReturns) {
+  Variable x = Variable::leaf(Tensor({4}), true);
+  const std::vector<Tensor> c = contributions();
+  ag::backward(contribution_graph(x, {c[0], c[3]},
+                                  {Mode::kDeferred, Mode::kDeferred}));
+  ASSERT_TRUE(x.has_grad());
+  EXPECT_TRUE(x.node()->pending.empty());
+  Tensor expect = c[3];
+  expect.add_(c[0]);
+  EXPECT_EQ(0, std::memcmp(x.grad().data(), expect.data(), 4 * sizeof(float)));
+}
+
+TEST(AutogradDeferred, RemoteRowsPostsEveryGroupBeforeAnyWait) {
+  Rng rng(9);
+  const Tensor xv = ops::randn({4, 3}, rng);
+  const std::vector<std::vector<std::size_t>> rows = {{0, 2}, {1, 2, 3}};
+  std::vector<std::string> log;
+  Variable x = Variable::leaf(xv, true);
+  std::vector<Variable> sums;
+  for (std::size_t g = 0; g < rows.size(); ++g) {
+    // The "remote" computation is the identity, so dL/d(rows) = dL/dy.
+    Variable r = ag::remote_rows(
+        x, rows[g], ops::gather_rows(xv, rows[g]),
+        [&log, g](const Tensor& dy) -> ag::AwaitRows {
+          log.push_back("post " + std::to_string(g));
+          return [&log, g, dy] {
+            log.push_back("wait " + std::to_string(g));
+            return dy;
+          };
+        });
+    sums.push_back(ag::sum(r));
+  }
+  ag::backward(ag::add(sums[0], sums[1]));
+  EXPECT_EQ(log, (std::vector<std::string>{"post 1", "post 0", "wait 1",
+                                           "wait 0"}));
+
+  // Bit for bit the gather_rows backward it replaces.
+  Variable xg = Variable::leaf(xv, true);
+  ag::backward(ag::add(ag::sum(ag::gather_rows(xg, rows[0])),
+                       ag::sum(ag::gather_rows(xg, rows[1]))));
+  EXPECT_EQ(0, std::memcmp(x.grad().data(), xg.grad().data(),
+                           xv.size() * sizeof(float)));
 }
 
 }  // namespace

@@ -67,15 +67,17 @@ TEST(Broker, ForwardMatchesLocalBackend) {
 TEST(Broker, BatchedForwardMatchesIndividual) {
   MasterFixture f;
   Rng xr(2);
-  std::vector<std::pair<std::size_t, ag::Variable>> groups;
-  groups.emplace_back(0, ag::Variable::constant(ops::randn({3, kDim}, xr)));
-  groups.emplace_back(1, ag::Variable::constant(ops::randn({2, kDim}, xr)));
-  groups.emplace_back(3, ag::Variable::constant(ops::randn({4, kDim}, xr)));
-  auto batched = f.master.broker().experts_forward(0, groups);
+  const ag::Variable x = ag::Variable::constant(ops::randn({9, kDim}, xr));
+  // Experts 0, 1 and 3 take disjoint row groups; expert 2 gets none.
+  const std::vector<std::vector<std::size_t>> tokens = {
+      {0, 4, 8}, {1, 2}, {}, {3, 5, 6, 7}};
+  auto batched = f.master.broker().experts_forward(0, x, tokens);
   ASSERT_EQ(batched.size(), 3u);
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    ag::Variable single =
-        f.master.broker().expert_forward(0, groups[i].first, groups[i].second);
+  const std::size_t experts[] = {0, 1, 3};
+  for (std::size_t i = 0; i < batched.size(); ++i) {
+    const std::size_t e = experts[i];
+    ag::Variable single = f.master.broker().expert_forward(
+        0, e, ag::Variable::constant(ops::gather_rows(x.value(), tokens[e])));
     EXPECT_TRUE(ops::allclose(batched[i].value(), single.value()));
   }
 }

@@ -465,9 +465,12 @@ struct FaultedRun {
 // Runs `steps` identical fine-tuning steps; when `plan` is non-null the
 // injector attaches after fault tolerance is enabled, so scripted message
 // indices count from the first training message.
+// `overlap_chunks` < 0 leaves the pipeline depth to VELA_OVERLAP.
 FaultedRun run_finetune(int steps, const comm::FaultPlan* plan,
-                        const core::FaultToleranceConfig& ft) {
+                        const core::FaultToleranceConfig& ft,
+                        int overlap_chunks = -1) {
   auto cfg = sys_config();
+  cfg.overlap_chunks = overlap_chunks;
   data::SyntheticCorpus corpus(
       data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 17);
   // The injector must outlive the system (shutdown traffic still flows
@@ -719,6 +722,153 @@ TEST(FaultRecovery, TwoHundredStepsMixedFaultsUnderParallelCompute) {
   EXPECT_GE(total(run.reports, &core::StepReport::faults_injected), 20u);
   EXPECT_EQ(run.workers_recovered, 3u);
   EXPECT_LT(run.reports.back().loss, run.reports.front().loss);
+}
+
+// --- faults with several gradient requests outstanding ---------------------
+//
+// The broker posts every dL/dy of a block before it awaits any dL/dx, so a
+// backward fault lands while the block's other requests are in flight. The
+// rules below aim at the first gradient request of step 0: the group of
+// the last block's highest routed expert. On its worker's link it follows
+// every forward message the worker received in step 0 — one per group, or
+// one per fragment at pipeline depth K.
+
+struct FirstGradient {
+  std::size_t worker = 0;
+  std::uint64_t message_index = 0;  // on (worker, kToWorker)
+  std::size_t fragments = 0;        // of its train (1 when unchunked)
+  std::size_t block_groups = 0;     // requests of its block in flight
+};
+
+FirstGradient first_gradient_request(int overlap_chunks) {
+  auto cfg = sys_config();
+  cfg.overlap_chunks = overlap_chunks;
+  data::SyntheticCorpus corpus(
+      data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 17);
+  core::VelaSystem vela(cfg, &corpus);
+  vela.train_step(corpus.make_dataset(2, 6));
+  const std::vector<moe::RoutePlan> plans = vela.model().last_plans();
+  const placement::Placement& placement = vela.master().placement();
+  const std::size_t k = std::max<std::size_t>(1, vela.overlap_chunks());
+  const auto fragments = [k](std::size_t rows) { return std::min(k, rows); };
+
+  FirstGradient first;
+  const moe::RoutePlan& last = plans.back();
+  std::size_t expert = 0;
+  for (std::size_t e = 0; e < last.num_experts; ++e) {
+    if (last.expert_tokens[e].empty()) continue;
+    expert = e;
+    ++first.block_groups;
+  }
+  first.worker = placement.worker_of(plans.size() - 1, expert);
+  first.fragments = fragments(last.expert_tokens[expert].size());
+  for (std::size_t l = 0; l < plans.size(); ++l) {
+    for (std::size_t e = 0; e < plans[l].num_experts; ++e) {
+      const std::size_t rows = plans[l].expert_tokens[e].size();
+      if (rows > 0 && placement.worker_of(l, e) == first.worker) {
+        first.message_index += fragments(rows);
+      }
+    }
+  }
+  return first;
+}
+
+TEST(BatchedBackwardFaults, DroppedGradientRequestIsRetransmittedAlone) {
+  const FirstGradient target = first_gradient_request(0);
+  ASSERT_GT(target.block_groups, 1u);
+  comm::FaultPlan plan;
+  plan.rules.push_back({target.worker, comm::LinkDir::kToWorker,
+                        target.message_index, comm::FaultKind::kDrop, 0.0});
+  FaultedRun faulted = run_finetune(3, &plan, fast_ft(), 0);
+  FaultedRun clean = run_finetune(3, nullptr, fast_ft(), 0);
+
+  expect_bit_exact(faulted, clean);
+  EXPECT_EQ(total(faulted.reports, &core::StepReport::faults_injected), 1u);
+  EXPECT_GE(faulted.stats.retransmissions, 1u);
+  EXPECT_EQ(total(faulted.reports, &core::StepReport::retries), 0u);
+}
+
+TEST(BatchedBackwardFaults, DroppedFragmentRepostsOnlyItsTrain) {
+  const FirstGradient target = first_gradient_request(4);
+  ASSERT_GT(target.block_groups, 1u);
+  ASSERT_GT(target.fragments, 1u);
+  comm::FaultPlan plan;
+  plan.rules.push_back({target.worker, comm::LinkDir::kToWorker,
+                        target.message_index + 1, comm::FaultKind::kDrop,
+                        0.0});
+  FaultedRun faulted = run_finetune(3, &plan, fast_ft(), 4);
+  FaultedRun clean = run_finetune(3, nullptr, fast_ft(), 4);
+  FaultedRun sequential = run_finetune(3, nullptr, fast_ft(), 0);
+
+  expect_bit_exact(faulted, clean);
+  expect_bit_exact(faulted, sequential);
+  EXPECT_EQ(total(faulted.reports, &core::StepReport::faults_injected), 1u);
+  // The whole train went out again, not just the lost fragment.
+  EXPECT_GE(faulted.stats.retransmissions, target.fragments);
+  EXPECT_EQ(total(faulted.reports, &core::StepReport::retries), 0u);
+}
+
+TEST(BatchedBackwardFaults, CrashWhileAwaitingGradientsRetriesTheStep) {
+  const FirstGradient target = first_gradient_request(0);
+  ASSERT_GT(target.block_groups, 1u);
+  comm::FaultPlan plan;
+  plan.rules.push_back({target.worker, comm::LinkDir::kToWorker,
+                        target.message_index, comm::FaultKind::kCrashWorker,
+                        0.0});
+  FaultedRun faulted = run_finetune(3, &plan, fast_ft(), 0);
+  FaultedRun clean = run_finetune(3, nullptr, fast_ft(), 0);
+
+  // The WorkerFailedError escaped the wait, the worker was respawned and
+  // the step re-run from its snapshot.
+  expect_bit_exact(faulted, clean);
+  EXPECT_EQ(faulted.workers_recovered, 1u);
+  EXPECT_GE(faulted.reports[0].retries, 1u);
+  // The other workers answered the abandoned requests of the failed
+  // attempt; those replies were discarded, not accepted by the retry.
+  EXPECT_GE(faulted.stats.duplicates_discarded, 1u);
+}
+
+TEST(BatchedBackwardFaults, CrashWhileAwaitingGradientsDegradesLikeAFreshRun) {
+  const FirstGradient target = first_gradient_request(0);
+  ASSERT_GT(target.block_groups, 1u);
+  auto cfg = sys_config();
+  cfg.overlap_chunks = 0;
+  data::SyntheticCorpus corpus(
+      data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 17);
+  const auto batch = corpus.make_dataset(2, 6);
+
+  // Crash with the block's gradients in flight; no respawn budget, so the
+  // step degrades onto the survivors and retries.
+  std::vector<float> degraded_losses;
+  placement::Placement degraded;
+  {
+    comm::FaultPlan plan;
+    plan.rules.push_back({target.worker, comm::LinkDir::kToWorker,
+                          target.message_index,
+                          comm::FaultKind::kCrashWorker, 0.0});
+    comm::FaultInjector injector(plan);
+    core::VelaSystem vela(cfg, &corpus);
+    core::FaultToleranceConfig ft = fast_ft();
+    ft.respawn_budget = 0;
+    vela.enable_fault_tolerance(ft);
+    vela.attach_fault_injector(&injector);
+    for (int i = 0; i < 3; ++i) {
+      degraded_losses.push_back(vela.train_step(batch).loss);
+    }
+    ASSERT_TRUE(vela.master().dead_mask()[target.worker]);
+    degraded = vela.master().placement();
+  }
+  // A healthy fleet that starts on the degraded placement.
+  std::vector<float> fresh_losses;
+  {
+    core::VelaSystem vela(cfg, &corpus);
+    vela.enable_fault_tolerance(fast_ft());
+    vela.set_placement(degraded);
+    for (int i = 0; i < 3; ++i) {
+      fresh_losses.push_back(vela.train_step(batch).loss);
+    }
+  }
+  EXPECT_EQ(degraded_losses, fresh_losses);
 }
 
 }  // namespace

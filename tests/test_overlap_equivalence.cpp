@@ -236,7 +236,7 @@ struct BrokerRun {
   std::uint64_t retransmissions = 0;
 };
 
-// One chunked experts_forward against a single worker hosting one expert;
+// One chunked expert_forward against a single worker hosting one expert;
 // 8 rows at depth 4 → four 2-row fragments, message order on the link is
 // chunk 0, 1, 2, 3 (then the replies).
 BrokerRun run_chunked_forward(const comm::FaultPlan* plan) {
@@ -257,9 +257,8 @@ BrokerRun run_chunked_forward(const comm::FaultPlan* plan) {
   broker.begin_step();
   Rng xr(5);
   const Tensor x = ops::randn({8, 8}, xr);
-  auto outs = broker.experts_forward(0, {{0, ag::Variable::constant(x)}});
   BrokerRun run;
-  run.output = outs.at(0).value();
+  run.output = broker.expert_forward(0, 0, ag::Variable::constant(x)).value();
   run.record = broker.finish_step();
   run.retransmissions = rlink.stats().retransmissions;
   link.to_worker.close();
@@ -327,9 +326,9 @@ TEST(OverlapEquivalence, ChunkedForwardLedgerMatchesSequential) {
     broker.begin_step();
     Rng xr(5);
     const Tensor x = ops::randn({8, 8}, xr);
-    auto outs = broker.experts_forward(0, {{0, ag::Variable::constant(x)}});
     BrokerRun run;
-    run.output = outs.at(0).value();
+    run.output =
+        broker.expert_forward(0, 0, ag::Variable::constant(x)).value();
     run.record = broker.finish_step();
     link.to_worker.close();
     worker.join();
