@@ -133,7 +133,11 @@ bool Endpoint::send(Message msg) {
   }
 }
 
-void Endpoint::account_received(std::uint64_t size) {
+void Endpoint::deliver(const std::vector<std::uint8_t>& frame, Message* out) {
+  std::string error;
+  VELA_CHECK_MSG(decode_frame(frame, out, &error),
+                 "transport delivered an undecodable frame: " + error);
+  const std::uint64_t size = out->wire_size();
   if (role_ == RemoteRole::kIngress) {
     // The sender lives in another process: these bytes enter this node
     // here, so the meter and the ledger's posted half are charged at
@@ -153,10 +157,7 @@ std::optional<Message> Endpoint::receive() {
   std::optional<std::vector<std::uint8_t>> frame = transport_->receive();
   if (!frame.has_value()) return std::nullopt;
   Message msg;
-  std::string error;
-  VELA_CHECK_MSG(decode_frame(*frame, &msg, &error),
-                 "transport delivered an undecodable frame: " + error);
-  account_received(msg.wire_size());
+  deliver(*frame, &msg);
   return msg;
 }
 
@@ -164,10 +165,7 @@ std::optional<Message> Endpoint::try_receive() {
   std::optional<std::vector<std::uint8_t>> frame = transport_->try_receive();
   if (!frame.has_value()) return std::nullopt;
   Message msg;
-  std::string error;
-  VELA_CHECK_MSG(decode_frame(*frame, &msg, &error),
-                 "transport delivered an undecodable frame: " + error);
-  account_received(msg.wire_size());
+  deliver(*frame, &msg);
   return msg;
 }
 
@@ -175,11 +173,7 @@ PopStatus Endpoint::receive_for(std::chrono::milliseconds timeout,
                                 Message* out) {
   std::vector<std::uint8_t> frame;
   const PopStatus status = transport_->receive_for(timeout, &frame);
-  if (status != PopStatus::kOk) return status;
-  std::string error;
-  VELA_CHECK_MSG(decode_frame(frame, out, &error),
-                 "transport delivered an undecodable frame: " + error);
-  account_received(out->wire_size());
+  if (status == PopStatus::kOk) deliver(frame, out);
   return status;
 }
 

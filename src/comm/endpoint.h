@@ -4,7 +4,10 @@
 // An Endpoint owns exactly the responsibilities that must be identical on
 // every backend:
 //
-//   * Message ↔ frame serialization (frame.h, lossless);
+//   * Message ↔ frame serialization (frame.h, lossless: the frame is the
+//     Message body; the socket session record adds the length and the one
+//     CRC where bytes leave the process, the in-process queue hashes
+//     nothing);
 //   * traffic attribution — the TrafficMeter, the per-endpoint byte/message
 //     counters, and the VELA_AUDIT conservation ledger are all charged HERE,
 //     never in a runtime and never in a Transport. The charge is always
@@ -125,8 +128,9 @@ class Endpoint {
   // before the frame is published (see channel ordering contract).
   bool offer(const Message& msg, std::uint64_t size);
 
-  // Shared receive epilogue: counters + ledger (+ ingress meter charge).
-  void account_received(std::uint64_t size);
+  // Shared receive epilogue: decodes a delivered frame into *out, then
+  // charges counters + ledger (+ ingress meter) at its wire_size().
+  void deliver(const std::vector<std::uint8_t>& frame, Message* out);
 
   TransportKind kind_;
   RemoteRole role_ = RemoteRole::kNone;

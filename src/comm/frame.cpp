@@ -28,7 +28,7 @@ bool read_pod(const std::uint8_t* data, std::size_t size, std::size_t& offset,
                 "frame fields must be raw fixed-layout scalars");
   static_assert(sizeof(T) <= sizeof(std::uint64_t),
                 "frame fields are at most 8 bytes");
-  if (offset + sizeof(T) > size) return false;
+  if (size - offset < sizeof(T)) return false;
   std::memcpy(out, data + offset, sizeof(T));
   offset += sizeof(T);
   return true;
@@ -39,42 +39,41 @@ bool fail(std::string* error, const char* why) {
   return false;
 }
 
-}  // namespace
-
-std::uint32_t frame_crc(const std::uint8_t* data, std::size_t size) {
-  // FNV-1a, the same construction Message::compute_checksum uses — cheap and
-  // bit-stable across platforms.
-  std::uint32_t hash = 2166136261u;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 16777619u;
+// The u8 precision slot for a (wire_bits, q8_block) pair: 16/32 travel
+// literally, q8 as 0x80|block. 0 means the pair has no slot. Encode and
+// decode both go through this one rule, so a decoded header re-encodes to
+// the same byte.
+std::uint8_t precision_slot(unsigned wire_bits, unsigned q8_block) {
+  if (wire_bits == 8) {
+    return qblock::valid_block(q8_block)
+               ? static_cast<std::uint8_t>(0x80u | q8_block)
+               : 0;
   }
-  return hash;
+  if ((wire_bits == 16 || wire_bits == 32) && q8_block == 0) {
+    return static_cast<std::uint8_t>(wire_bits);
+  }
+  return 0;
 }
 
+}  // namespace
+
 std::vector<std::uint8_t> encode_frame(const Message& msg) {
-  VELA_CHECK_MSG(msg.wire_bits <= 0xFF,
-                 "wire_bits must fit the frame's u8 slot");
-  // The frame carries payload floats losslessly at any wire precision (the
-  // quantization, if any, already happened at the sender); only the
-  // accounting tag differs. q8 rides the u8 precision slot as 0x80|block,
-  // exactly like the accounted codec in serialize.cpp.
-  const bool q8 = msg.wire_bits == 8;
-  if (q8) {
-    VELA_CHECK_MSG(qblock::valid_block(msg.q8_block),
-                   "q8 message without a valid block length");
-  }
-  const std::uint8_t precision_slot =
-      q8 ? static_cast<std::uint8_t>(0x80u | msg.q8_block)
-         : static_cast<std::uint8_t>(msg.wire_bits);
+  VELA_CHECK_MSG(msg.type <= kLastMessageType,
+                 "message type outside the protocol");
+  const std::uint8_t slot = precision_slot(msg.wire_bits, msg.q8_block);
+  VELA_CHECK_MSG(slot != 0, "wire_bits " << msg.wire_bits << " with q8_block "
+                                         << unsigned{msg.q8_block}
+                                         << " has no frame precision slot");
+  VELA_CHECK_MSG(msg.chunk_index < msg.chunk_count,
+                 "fragment index outside its train");
+  const std::size_t rank = msg.payload.rank();
+  const std::size_t payload_bytes = msg.payload.size() * sizeof(float);
   std::vector<std::uint8_t> body;
-  const std::size_t numel = msg.payload.size();
-  body.reserve(Message::kHeaderBytes + 2 * sizeof(std::uint64_t) +
-               sizeof(std::uint32_t) +
-               msg.payload.rank() * sizeof(std::uint64_t) +
-               numel * sizeof(float));
+  body.reserve(4 * sizeof(std::uint8_t) + 3 * sizeof(std::uint64_t) +
+               6 * sizeof(std::uint32_t) + rank * sizeof(std::uint64_t) +
+               payload_bytes);
   append_pod(body, static_cast<std::uint8_t>(msg.type));
-  append_pod(body, precision_slot);
+  append_pod(body, slot);
   append_pod(body, msg.chunk_index);
   append_pod(body, msg.chunk_count);
   append_pod(body, msg.request_id);
@@ -84,135 +83,92 @@ std::vector<std::uint8_t> encode_frame(const Message& msg) {
   append_pod(body, msg.step);
   append_pod(body, msg.checksum);
   append_pod(body, msg.phantom_bytes);
-  append_pod(body, static_cast<std::uint32_t>(msg.payload.rank()));
-  for (std::size_t d = 0; d < msg.payload.rank(); ++d) {
+  append_pod(body, static_cast<std::uint32_t>(rank));
+  for (std::size_t d = 0; d < rank; ++d) {
     append_pod(body, static_cast<std::uint64_t>(msg.payload.dim(d)));
   }
-  for (std::size_t i = 0; i < numel; ++i) {
-    append_pod(body, msg.payload[i]);
-  }
-  VELA_CHECK_MSG(body.size() <= kMaxFrameBodyBytes,
+  const std::size_t header = body.size();
+  VELA_CHECK_MSG(header + payload_bytes <= kMaxFrameBodyBytes,
                  "message too large for one frame");
-
-  std::vector<std::uint8_t> frame;
-  frame.reserve(body.size() + kFrameOverheadBytes);
-  append_pod(frame, static_cast<std::uint32_t>(body.size()));
-  frame.insert(frame.end(), body.begin(), body.end());
-  append_pod(frame, frame_crc(body.data(), body.size()));
-  return frame;
+  body.resize(header + payload_bytes);
+  if (payload_bytes > 0) {
+    std::memcpy(body.data() + header, msg.payload.data(),
+                msg.payload.size() * sizeof(float));
+  }
+  return body;
 }
 
 bool decode_frame(const std::vector<std::uint8_t>& frame, Message* out,
                   std::string* error) {
   VELA_CHECK(out != nullptr);
-  if (frame.size() < kFrameOverheadBytes) {
-    return fail(error, "frame shorter than its framing overhead");
+  const std::uint8_t* body = frame.data();
+  const std::size_t size = frame.size();
+  if (size > kMaxFrameBodyBytes) {
+    return fail(error, "frame exceeds the frame body limit");
   }
-  std::size_t offset = 0;
-  const std::uint8_t* data = frame.data();
-  std::uint32_t body_len = 0;
-  if (!read_pod(data, frame.size(), offset, &body_len)) {
-    return fail(error, "truncated length prefix");
-  }
-  if (body_len > kMaxFrameBodyBytes) {
-    return fail(error, "length prefix exceeds the frame body limit");
-  }
-  if (frame.size() != kFrameOverheadBytes + body_len) {
-    return fail(error, "length prefix disagrees with the buffer size");
-  }
-  const std::uint8_t* body = data + sizeof(std::uint32_t);
-  std::uint32_t crc = 0;
-  std::size_t crc_offset = sizeof(std::uint32_t) + body_len;
-  if (!read_pod(data, frame.size(), crc_offset, &crc)) {
-    return fail(error, "truncated frame CRC");
-  }
-  if (crc != frame_crc(body, body_len)) {
-    return fail(error, "frame CRC mismatch");
-  }
-
   Message msg;
-  offset = 0;
-  std::uint8_t type = 0, wire_bits = 0;
-  bool ok = read_pod(body, body_len, offset, &type) &&
-            read_pod(body, body_len, offset, &wire_bits) &&
-            read_pod(body, body_len, offset, &msg.chunk_index) &&
-            read_pod(body, body_len, offset, &msg.chunk_count) &&
-            read_pod(body, body_len, offset, &msg.request_id) &&
-            read_pod(body, body_len, offset, &msg.source) &&
-            read_pod(body, body_len, offset, &msg.layer) &&
-            read_pod(body, body_len, offset, &msg.expert) &&
-            read_pod(body, body_len, offset, &msg.step) &&
-            read_pod(body, body_len, offset, &msg.checksum) &&
-            read_pod(body, body_len, offset, &msg.phantom_bytes);
+  std::size_t offset = 0;
+  std::uint8_t type = 0, slot = 0;
   std::uint32_t rank = 0;
-  ok = ok && read_pod(body, body_len, offset, &rank);
-  if (!ok) return fail(error, "truncated frame body header");
+  const bool ok = read_pod(body, size, offset, &type) &&
+                  read_pod(body, size, offset, &slot) &&
+                  read_pod(body, size, offset, &msg.chunk_index) &&
+                  read_pod(body, size, offset, &msg.chunk_count) &&
+                  read_pod(body, size, offset, &msg.request_id) &&
+                  read_pod(body, size, offset, &msg.source) &&
+                  read_pod(body, size, offset, &msg.layer) &&
+                  read_pod(body, size, offset, &msg.expert) &&
+                  read_pod(body, size, offset, &msg.step) &&
+                  read_pod(body, size, offset, &msg.checksum) &&
+                  read_pod(body, size, offset, &msg.phantom_bytes) &&
+                  read_pod(body, size, offset, &rank);
+  if (!ok) return fail(error, "truncated frame header");
+  if (type > static_cast<std::uint8_t>(kLastMessageType)) {
+    return fail(error, "unknown message type in frame header");
+  }
   msg.type = static_cast<MessageType>(type);
-  if (wire_bits & 0x80u) {
-    const std::uint8_t block = wire_bits & 0x7Fu;
-    if (!qblock::valid_block(block)) {
-      return fail(error, "bad q8 block tag in frame header");
-    }
-    msg.wire_bits = 8;
-    msg.q8_block = block;
-  } else {
-    msg.wire_bits = wire_bits;
+  msg.wire_bits = (slot & 0x80u) != 0 ? 8u : slot;
+  msg.q8_block =
+      (slot & 0x80u) != 0 ? static_cast<std::uint8_t>(slot & 0x7Fu) : 0;
+  if (slot == 0 || precision_slot(msg.wire_bits, msg.q8_block) != slot) {
+    return fail(error, (slot & 0x80u) != 0
+                           ? "bad q8 block tag in frame header"
+                           : "bad wire_bits in frame header");
+  }
+  if (msg.chunk_index >= msg.chunk_count) {
+    return fail(error, "bad fragment indices in frame header");
   }
 
-  std::vector<std::size_t> shape;
-  shape.reserve(rank);
+  if (rank > (size - offset) / sizeof(std::uint64_t)) {
+    return fail(error, "truncated shape descriptor");
+  }
+  std::vector<std::size_t> shape(rank);
   std::size_t numel = rank > 0 ? 1 : 0;
-  for (std::uint32_t d = 0; d < rank; ++d) {
-    std::uint64_t dim = 0;
-    if (!read_pod(body, body_len, offset, &dim)) {
-      return fail(error, "truncated shape descriptor");
-    }
-    if (dim == 0 || dim > kMaxFrameBodyBytes) {
+  for (std::size_t& dim : shape) {
+    std::uint64_t value = 0;
+    read_pod(body, size, offset, &value);  // in bounds by the rank check
+    if (value == 0 || value > kMaxFrameBodyBytes) {
       return fail(error, "implausible tensor dimension");
     }
-    shape.push_back(static_cast<std::size_t>(dim));
-    numel *= static_cast<std::size_t>(dim);
+    dim = static_cast<std::size_t>(value);
+    numel *= dim;
     if (numel > kMaxFrameBodyBytes) {
       return fail(error, "shape volume exceeds the frame body limit");
     }
   }
-  if (numel * sizeof(float) > body_len) {
-    return fail(error, "shape volume exceeds the frame body");
+  const std::size_t payload_bytes = numel * sizeof(float);
+  if (size - offset < payload_bytes) {
+    return fail(error, "truncated payload data");
+  }
+  if (size - offset > payload_bytes) {
+    return fail(error, "trailing bytes in frame body");
   }
   if (numel > 0) {
     std::vector<float> values(numel);
-    for (std::size_t i = 0; i < numel; ++i) {
-      if (!read_pod(body, body_len, offset, &values[i])) {
-        return fail(error, "truncated payload data");
-      }
-    }
+    std::memcpy(values.data(), body + offset, numel * sizeof(float));
     msg.payload = Tensor(std::move(shape), std::move(values));
   }
-  if (offset != body_len) return fail(error, "trailing bytes in frame body");
   *out = std::move(msg);
-  return true;
-}
-
-void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
-  buffer_.insert(buffer_.end(), data, data + size);
-}
-
-bool FrameDecoder::next(std::vector<std::uint8_t>* frame) {
-  VELA_CHECK(frame != nullptr);
-  if (buffer_.size() < sizeof(std::uint32_t)) return false;
-  std::uint32_t body_len = 0;
-  std::memcpy(&body_len, buffer_.data(), sizeof(std::uint32_t));
-  // A byte stream cannot resynchronize after a corrupt length prefix: every
-  // later "frame" would start at a garbage offset. Fail loudly instead of
-  // delivering noise.
-  VELA_CHECK_MSG(body_len <= kMaxFrameBodyBytes,
-                 "frame stream corrupt: oversize length prefix");
-  const std::size_t total = kFrameOverheadBytes + body_len;
-  if (buffer_.size() < total) return false;
-  frame->assign(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(total));
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(total));
   return true;
 }
 

@@ -1,32 +1,32 @@
 // Transport frame codec: the byte representation a Transport actually moves.
 //
-// This is deliberately NOT serialize.h. That codec defines the *accounted*
-// wire format (payloads at wire_bits precision, phantom payloads rejected,
-// shape collapsed to an element count) and its sizes are what every ledger
-// and golden CSV is calibrated against. A Transport, by contrast, must move
-// a Message between two in-process endpoints *losslessly* — full fp32
-// payload bits, tensor shape, phantom byte counts, fragment fields and the
-// integrity checksum all survive — so that the same fine-tune is bit-exact
-// on every backend. Byte accounting keeps using Message::wire_size(); the
-// physical frame size never feeds a meter or ledger (DESIGN.md §10).
+// A frame is exactly one Message body. It is lossless — full fp32 payload
+// bits, tensor shape, phantom byte counts, fragment fields and the Message
+// checksum all survive — so the same fine-tune is bit-exact on every
+// backend. What a hop is *charged* is Message::wire_size() (DESIGN.md §10);
+// the physical frame size never feeds a meter or ledger. The accounted wire
+// format (payloads at wire_bits precision) lives on only as a test oracle,
+// tests/serialize.{h,cpp}.
 //
 // Frame layout (little-endian):
 //
-//   u32 body_len | body[body_len] | u32 frame_crc (FNV-1a over body)
+//   u8 type | u8 precision | u8 chunk_index | u8 chunk_count |
+//   u64 request_id | u32 source | u32 layer | u32 expert | u32 step |
+//   u32 checksum | u64 phantom_bytes | u32 rank | u64 dims[rank] |
+//   f32 data[numel]
 //
-//   body := u8 type | u8 wire_bits | u8 chunk_index | u8 chunk_count |
-//           u64 request_id | u32 source | u32 layer | u32 expert |
-//           u32 step | u32 checksum | u64 phantom_bytes |
-//           u32 rank | u64 dims[rank] | f32 data[numel]
+// The precision slot carries wire_bits literally for 16/32 and a q8 payload
+// as 0x80|block (block ∈ {32, 64}); no other value is a frame.
 //
-// The frame CRC models the transport-level integrity check a real stream
-// carries (TCP checksum / link CRC); the Message-level `checksum` field
-// inside the body is the end-to-end one the fault injector corrupts, and it
-// travels as payload here — a corrupted message frames cleanly and is only
-// rejected at the receiving runtime, exactly like the in-proc path.
+// The frame has no length prefix and no CRC of its own: the in-process
+// queue hands over whole frames and hashes nothing, and the socket session
+// record (comm/session.h) carries the one length and the one CRC for bytes
+// that leave the process. The Message-level `checksum` field is the
+// end-to-end one the fault injector corrupts; it travels as body bytes, so
+// a corrupted message frames cleanly and is only rejected at the receiving
+// runtime, identically on every backend.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,50 +35,22 @@
 
 namespace vela::comm {
 
-// Frames larger than this are rejected by the decoder: no legitimate message
-// in the tree comes within two orders of magnitude, so an oversize length
-// prefix means stream corruption (or a torn/misaligned read).
+// Frames larger than this are refused: no legitimate message in the tree
+// comes within two orders of magnitude, so a larger session-record length
+// means stream corruption (or a torn/misaligned read).
 inline constexpr std::uint32_t kMaxFrameBodyBytes = 1u << 30;
 
-// Bytes of framing around a body: the length prefix and the trailing CRC.
-inline constexpr std::size_t kFrameOverheadBytes =
-    2 * sizeof(std::uint32_t);
-
-// FNV-1a over a byte range (the transport-level frame CRC).
-[[nodiscard]] std::uint32_t frame_crc(const std::uint8_t* data,
-                                      std::size_t size);
-
-// Encodes a message into a complete frame (length prefix + body + CRC).
-// Every message is encodable — phantom and zero-length payloads included.
+// Encodes a message into one frame. Phantom and zero-length payloads are
+// encodable; a header field outside the layout above (an unknown type, a
+// wire_bits/q8_block pair without a precision slot, chunk_index >=
+// chunk_count) fails a VELA_CHECK.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(const Message& msg);
 
-// Decodes a complete frame back into a Message. Returns false (with *error
-// describing why, when non-null) on a short buffer, a length prefix that
-// disagrees with the buffer, a CRC mismatch, or a malformed body. A true
-// return restores the Message bit-exactly as encoded.
+// Decodes a frame back into a Message. Returns false (with *error
+// describing why, when non-null) on a truncated or oversize buffer, an
+// invalid header field, or trailing bytes. A true return restores the
+// Message bit-exactly as encoded, and re-encoding it yields `frame`.
 [[nodiscard]] bool decode_frame(const std::vector<std::uint8_t>& frame,
                                 Message* out, std::string* error = nullptr);
-
-// Incremental frame segmenter for byte-stream transports: feed() raw bytes
-// in arbitrary pieces (a socket read boundary never aligns with frames) and
-// next() yields complete frames in order. The decoder only segments and
-// bounds-checks; CRC validation happens in decode_frame at the Endpoint, the
-// single place both backends converge.
-class FrameDecoder {
- public:
-  void feed(const std::uint8_t* data, std::size_t size);
-
-  // Extracts the next complete frame into *frame. Returns false when the
-  // buffered bytes do not yet hold one. Throws CheckError if the stream is
-  // unrecoverable (oversize length prefix) — a byte-stream cannot resync
-  // after a bad length.
-  [[nodiscard]] bool next(std::vector<std::uint8_t>* frame);
-
-  // Bytes buffered but not yet returned as frames (a torn tail).
-  [[nodiscard]] std::size_t buffered_bytes() const { return buffer_.size(); }
-
- private:
-  std::vector<std::uint8_t> buffer_;
-};
 
 }  // namespace vela::comm

@@ -1,7 +1,8 @@
 #include "comm/message.h"
 
-#include <cstring>
 #include <sstream>
+
+#include "util/fnv1a.h"
 
 namespace vela::comm {
 
@@ -66,36 +67,31 @@ const char* message_type_name(MessageType t) {
 }
 
 std::uint32_t Message::compute_checksum() const {
-  // FNV-1a, folding in every field a receiver acts on. Never returns 0 so a
-  // stamped message cannot be mistaken for an unchecksummed one.
-  std::uint32_t h = 2166136261u;
-  auto mix = [&h](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      h ^= (v >> (8 * i)) & 0xFFu;
-      h *= 16777619u;
-    }
+  // FNV-1a over every field a receiver acts on, each folded as little-endian
+  // u32 words, then the payload's float bits. Never returns 0 so a stamped
+  // message cannot be mistaken for an unchecksummed one.
+  static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+                "the checksum hashes host words as little-endian bytes");
+  const std::uint32_t header[] = {
+      static_cast<std::uint32_t>(type),
+      static_cast<std::uint32_t>(request_id),
+      static_cast<std::uint32_t>(request_id >> 32),
+      source,
+      layer,
+      expert,
+      step,
+      static_cast<std::uint32_t>(phantom_bytes),
+      // q8_block shares the fragment word: zero (every non-q8 message)
+      // leaves the hash identical to the pre-quantization protocol, so
+      // stamped traffic from fp32/fp16 runs is bit-compatible with old
+      // goldens.
+      static_cast<std::uint32_t>(chunk_index) |
+          (static_cast<std::uint32_t>(chunk_count) << 8) |
+          (static_cast<std::uint32_t>(q8_block) << 16),
   };
-  mix(static_cast<std::uint32_t>(type));
-  mix(static_cast<std::uint32_t>(request_id));
-  mix(static_cast<std::uint32_t>(request_id >> 32));
-  mix(source);
-  mix(layer);
-  mix(expert);
-  mix(step);
-  mix(static_cast<std::uint32_t>(phantom_bytes));
-  // q8_block shares the fragment word: zero (every non-q8 message) leaves
-  // the hash identical to the pre-quantization protocol, so stamped traffic
-  // from fp32/fp16 runs is bit-compatible with old goldens.
-  mix(static_cast<std::uint32_t>(chunk_index) |
-      (static_cast<std::uint32_t>(chunk_count) << 8) |
-      (static_cast<std::uint32_t>(q8_block) << 16));
-  const float* data = payload.data();
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    std::uint32_t bits;
-    static_assert(sizeof(std::uint32_t) == sizeof(float));
-    std::memcpy(&bits, &data[i], sizeof(std::uint32_t));
-    mix(bits);
-  }
+  const std::uint32_t h =
+      util::fnv1a(payload.data(), payload.size() * sizeof(float),
+                  util::fnv1a(header, sizeof(header)));
   return h == 0 ? 1u : h;
 }
 

@@ -54,6 +54,10 @@ enum class MessageType : std::uint8_t {
                           //   for the layer field; never awaited, no reply)
 };
 
+// The last variant above: codecs reject a type byte past it. Appending a
+// variant moves this too.
+inline constexpr MessageType kLastMessageType = MessageType::kPrefetchExperts;
+
 const char* message_type_name(MessageType t);
 
 // The largest q8 block length the wire tag byte can carry (see Message
@@ -128,7 +132,8 @@ struct Message {
   std::string to_string() const;
 };
 
-// Wire-layout pins (DESIGN.md §9). The codec in serialize.cpp writes the
+// Wire-layout pins (DESIGN.md §9). The frame codec (frame.cpp) and the
+// accounted-size oracle the tests keep (tests/serialize.cpp) write the
 // header fields below at these exact widths; kHeaderBytes is what every
 // ledger, clock and golden CSV in the tree is calibrated against. Narrowing,
 // widening or retyping a header field must break the build here — not drift

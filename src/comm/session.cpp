@@ -13,6 +13,7 @@
 #include "comm/frame.h"
 #include "util/audit.h"
 #include "util/check.h"
+#include "util/fnv1a.h"
 #include "util/logging.h"
 
 namespace vela::comm::session {
@@ -73,37 +74,57 @@ std::size_t header_bytes_for(std::uint8_t type) {
   }
 }
 
+// The data record's CRC: FNV-1a over every other byte of the record — the
+// type/seq/length head that precedes the CRC slot, then the frame.
+constexpr std::size_t kDataHeadBytes =
+    1 + sizeof(std::uint64_t) + sizeof(std::uint32_t);
+static_assert(kDataHeadBytes + sizeof(std::uint32_t) ==
+              kSessionDataOverheadBytes);
+
+std::uint32_t data_record_crc(const std::uint8_t* head,
+                              const std::uint8_t* frame, std::size_t len) {
+  return util::fnv1a(frame, len, util::fnv1a(head, kDataHeadBytes));
+}
+
 }  // namespace
 
 bool RecordParser::next(Record* out) {
-  bool corrupt = false;
-  const bool got = next_lenient(out, &corrupt);
-  if (corrupt) {
-    VELA_CHECK_MSG(false, "session stream corrupted: record type "
-                              << static_cast<int>(buffer_[0]));
-  }
+  const char* corrupt = nullptr;
+  const bool got = parse(out, &corrupt);
+  VELA_CHECK_MSG(corrupt == nullptr, "session stream corrupted: " << corrupt);
   return got;
 }
 
 bool RecordParser::next_lenient(Record* out, bool* corrupt) {
-  *corrupt = false;
+  const char* why = nullptr;
+  const bool got = parse(out, &why);
+  *corrupt = why != nullptr;
+  return got;
+}
+
+bool RecordParser::parse(Record* out, const char** corrupt) {
   if (buffer_.empty()) return false;
   const std::uint8_t type = buffer_[0];
   const std::size_t header = header_bytes_for(type);
   if (header == 0) {
-    *corrupt = true;
+    *corrupt = "unknown record type";
     return false;
   }
   if (buffer_.size() < header) return false;
   std::size_t total = header;
   if (type == kRecData) {
     const std::uint32_t len = get_u32(buffer_.data() + 9);
-    if (len > kMaxFrameBodyBytes + kFrameOverheadBytes) {
-      *corrupt = true;
+    if (len > kMaxFrameBodyBytes) {
+      *corrupt = "oversize data record length";
       return false;
     }
     total += len;
     if (buffer_.size() < total) return false;
+    if (get_u32(buffer_.data() + kDataHeadBytes) !=
+        data_record_crc(buffer_.data(), buffer_.data() + header, len)) {
+      *corrupt = "data record CRC mismatch";
+      return false;
+    }
   }
   out->type = type;
   out->seq = 0;
@@ -142,11 +163,14 @@ bool RecordParser::next_lenient(Record* out, bool* corrupt) {
 
 std::vector<std::uint8_t> encode_data_record(
     std::uint64_t seq, const std::vector<std::uint8_t>& frame) {
+  VELA_CHECK_MSG(frame.size() <= kMaxFrameBodyBytes,
+                 "frame too large for one session record");
   std::vector<std::uint8_t> rec;
   rec.reserve(kSessionDataOverheadBytes + frame.size());
   rec.push_back(kRecData);
   put_u64(&rec, seq);
   put_u32(&rec, static_cast<std::uint32_t>(frame.size()));
+  put_u32(&rec, data_record_crc(rec.data(), frame.data(), frame.size()));
   rec.insert(rec.end(), frame.begin(), frame.end());
   return rec;
 }

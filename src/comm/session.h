@@ -4,12 +4,16 @@
 // Every byte on a socket-backed lane travels inside a session record
 // (little-endian):
 //
-//   kData    := u8 1 | u64 seq | u32 frame_len | frame[frame_len]
+//   kData    := u8 1 | u64 seq | u32 frame_len | u32 crc | frame[frame_len]
 //   kAck     := u8 2 | u64 next_expected_seq      (reverse direction)
 //   kHello   := u8 3 | u64 next_expected_seq      (resume handshake)
 //   kGoodbye := u8 4                              (graceful close)
 //   kIdent   := u8 5 | u32 magic | u32 version | u32 rank | u8 lane |
 //               u64 capacity | u64 session_id     (peer discovery, §12)
+//
+// The data record holds the stream's one length and one integrity check:
+// `crc` is FNV-1a over the record's other bytes (type, seq, frame_len, then
+// the frame), so bytes that cross a process boundary are checked once, here.
 //
 // A lane is one SenderHalf and one ReceiverHalf at the two ends of a TCP
 // connection. The sender numbers frames, keeps every data record until a
@@ -90,17 +94,18 @@ struct Record {
   std::vector<std::uint8_t> frame;  // kData only
 };
 
-// Incremental session-record segmenter: the session-envelope counterpart of
-// FrameDecoder (socket reads never align with record boundaries). An unknown
-// record type or an oversize frame length fails a VELA_CHECK — a
-// desynchronized stream cannot be resynchronized. Feed from listener-side
-// handshakes instead goes through next_lenient(), which reports corruption
-// as a rejection rather than aborting the process.
+// Incremental session-record segmenter: feed() raw bytes in arbitrary pieces
+// (socket reads never align with record boundaries) and next() yields whole
+// records in order. An unknown record type, an oversize frame length or a
+// data-record CRC mismatch fails a VELA_CHECK — a corrupt stream cannot be
+// resynchronized. Feed from listener-side handshakes instead goes through
+// next_lenient(), which reports corruption as a rejection rather than
+// aborting the process.
 class RecordParser {
  public:
   void feed(const std::uint8_t* data, std::size_t size);
   [[nodiscard]] bool next(Record* out);
-  // Like next(), but a malformed stream sets *corrupt and returns false
+  // Like next(), but a corrupt stream sets *corrupt and returns false
   // instead of failing a check (the listener rejects the peer and lives on).
   [[nodiscard]] bool next_lenient(Record* out, bool* corrupt);
   [[nodiscard]] std::size_t buffered_bytes() const { return buffer_.size(); }
@@ -111,6 +116,10 @@ class RecordParser {
   }
 
  private:
+  // Extracts the next whole record; on a corrupt stream sets *corrupt to the
+  // reason and returns false.
+  bool parse(Record* out, const char** corrupt);
+
   std::vector<std::uint8_t> buffer_;
 };
 

@@ -1,23 +1,26 @@
 // Byte-stream transport under the comm fabric (DESIGN.md §10, §11).
 //
-// A Transport moves complete frames (frame.h: length-prefixed, CRC-trailed
-// byte buffers) from one endpoint to another. It knows nothing about
-// Messages, meters, ledgers or message-level fault injection — all of that
-// lives one layer up in comm::Endpoint, which is what makes the backends
-// interchangeable: the same fine-tune must be bit-exact (losses, weights,
-// TrafficMeter counts) under every TransportKind.
+// A Transport moves complete frames (frame.h: one encoded Message body each)
+// from one endpoint to another. It knows nothing about Messages, meters,
+// ledgers or message-level fault injection — all of that lives one layer
+// up in comm::Endpoint, which is what makes the backends interchangeable:
+// the same fine-tune must be bit-exact (losses, weights, TrafficMeter
+// counts) under every TransportKind.
 //
 // Backends:
 //
 //   * InProcTransport — a BlockingQueue of frame buffers; exactly the
-//     blocking-queue semantics the runtime has always had.
+//     blocking-queue semantics the runtime has always had. Nothing is
+//     hashed on this path: the buffer never leaves the process.
 //   * SocketTransport — a localhost TCP connection with session resume: a
 //     session::SenderHalf and a session::ReceiverHalf (comm/session.h)
 //     over a private listen socket. A severed connection is re-established
 //     with bounded, deterministically jittered backoff, and the hello
 //     handshake replays every unacknowledged frame, so a cut cable loses
-//     nothing. Only an exhausted reconnect budget closes the transport,
-//     which the layers above translate into worker death.
+//     nothing. Each frame rides a session data record that carries its
+//     length and its CRC; a corrupt byte stream fails a VELA_CHECK. Only
+//     an exhausted reconnect budget closes the transport, which the layers
+//     above translate into worker death.
 //   * RemoteSocketTransport (comm/remote_transport.h) — one of those halves
 //     in each of two processes (DESIGN.md §12).
 //
@@ -121,9 +124,9 @@ struct SessionStats {
 };
 
 // Session record overhead on the socket stream: u8 record type + u64
-// sequence number + u32 frame length. The torn-connection property test
-// sweeps every byte offset of (overhead + frame size).
-inline constexpr std::size_t kSessionDataOverheadBytes = 13;
+// sequence number + u32 frame length + u32 CRC. The torn-connection property
+// test sweeps every byte offset of (overhead + frame size).
+inline constexpr std::size_t kSessionDataOverheadBytes = 17;
 
 // Unidirectional frame pipe. Thread-safe: the EP runtime's shared inboxes
 // have many writers and the fabric makes no single-reader promise either.

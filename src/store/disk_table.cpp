@@ -10,6 +10,7 @@
 #include <type_traits>
 
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace vela::store {
 namespace {
@@ -18,15 +19,6 @@ constexpr char kMagic[8] = {'V', 'E', 'L', 'A', 'S', 'T', 'O', 'R'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 3 * sizeof(std::uint32_t);
 constexpr std::size_t kSlotHeaderBytes = 3 * sizeof(std::uint32_t);
-
-std::uint32_t fnv1a(const unsigned char* data, std::size_t bytes) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
-  return h;
-}
 
 void store_u32(unsigned char* at, std::uint32_t v) {
   std::memcpy(at, &v, sizeof(std::uint32_t));
@@ -152,7 +144,7 @@ std::uint32_t DiskTable::write(const unsigned char* data, std::size_t bytes) {
   }
   unsigned char* base = slot_base(slot);
   store_u32(base + 4, static_cast<std::uint32_t>(bytes));
-  store_u32(base + 8, fnv1a(data, bytes));
+  store_u32(base + 8, util::fnv1a(data, bytes));
   // Opaque payload bytes; no struct layout. vela-lint: allow(wire-memcpy)
   std::memcpy(base + kSlotHeaderBytes, data, bytes);
   store_u32(base, 1);  // publish last: a torn write leaves the slot free
@@ -172,7 +164,7 @@ std::vector<unsigned char> DiskTable::read(std::uint32_t slot) const {
                                      << " payload bytes in a " << slot_bytes_
                                      << "-byte slot (torn write?)");
   const std::uint32_t want = load_u32(base + 8);
-  const std::uint32_t got = fnv1a(base + kSlotHeaderBytes, bytes);
+  const std::uint32_t got = util::fnv1a(base + kSlotHeaderBytes, bytes);
   VELA_CHECK_MSG(got == want, "store table slot "
                                   << slot << " checksum mismatch (stored "
                                   << want << ", computed " << got

@@ -73,6 +73,42 @@ TEST(Message, ControlMessageIsHeaderOnly) {
   EXPECT_EQ(msg.wire_size(), comm::Message::kHeaderBytes);
 }
 
+// The Message checksum is a protocol value: stamped traffic and goldens
+// depend on its exact bits. Pinned for one fp32, one q8 fragment and one
+// phantom message; the expected values come from the byte-at-a-time FNV-1a
+// the checksum was first written as.
+TEST(Message, ChecksumValuesArePinned) {
+  comm::Message f32;
+  f32.type = comm::MessageType::kExpertForward;
+  f32.request_id = 0x0123456789ABCDEFull;
+  f32.source = 3;
+  f32.layer = 2;
+  f32.expert = 5;
+  f32.step = 7;
+  f32.payload = Tensor({2, 3}, {0.5f, -1.25f, 3.0f, 0.0f, -0.0f, 1e-3f});
+  EXPECT_EQ(f32.compute_checksum(), 0xCC722991u);
+
+  comm::Message q8;
+  q8.type = comm::MessageType::kExpertBackward;
+  q8.request_id = 42;
+  q8.source = 1;
+  q8.expert = 4;
+  q8.step = 9;
+  q8.payload =
+      Tensor({2, 4}, {1.0f, -2.0f, 0.25f, 7.5f, -0.125f, 4.0f, 0.0f, 3.5f});
+  q8.wire_bits = 8;
+  q8.q8_block = 32;
+  q8.chunk_index = 1;
+  q8.chunk_count = 3;
+  EXPECT_EQ(q8.compute_checksum(), 0x25F8749Cu);
+
+  comm::Message phantom;
+  phantom.type = comm::MessageType::kAllReduceChunk;
+  phantom.request_id = 0xFFFFFFFF00000001ull;
+  phantom.phantom_bytes = (5ull << 32) + 77;
+  EXPECT_EQ(phantom.compute_checksum(), 0x26F13853u);
+}
+
 TEST(TrafficMeter, SeparatesExternalFromInternal) {
   auto topo = paper_topo();
   comm::TrafficMeter meter(&topo);

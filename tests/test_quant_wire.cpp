@@ -1,22 +1,20 @@
 // Wire-level conformance for the quantized tier (`ctest -L quant`,
-// DESIGN.md §13): the accounted codec (serialize.h) and the lossless
-// transport frame (frame.h) against q8 payload sizes, the WireCodec
-// resolution rules, and FrameDecoder torn-read/CRC behavior over the
-// smallest and largest q8 frames. The inproc backend moves Message objects
-// directly (no byte stream), so the framing tests exercise the socket
-// backend's codec path; backend equivalence end-to-end is pinned by
+// DESIGN.md §13): the accounted-size oracle (tests/serialize.h) and the
+// lossless transport frame (frame.h) against q8 payload sizes, and the
+// WireCodec resolution rules. The socket stream's torn-read and CRC
+// behavior over the smallest and a large q8 record is RecordParser's
+// (test_transport.cpp); backend equivalence end-to-end is pinned by
 // test_quant_system.cpp.
 #include "comm/wire_codec.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "comm/frame.h"
-#include "comm/serialize.h"
+#include "serialize.h"
 #include "tensor/ops.h"
 #include "tensor/qblock.h"
 #include "util/check.h"
@@ -44,7 +42,7 @@ comm::Message q8_message(std::size_t rows, std::size_t cols, unsigned block,
 }
 
 // ---------------------------------------------------------------------------
-// Accounted codec (serialize.h)
+// Accounted-size oracle (tests/serialize.h)
 // ---------------------------------------------------------------------------
 
 TEST(QuantSerialize, EncodedSizeEqualsWireSizeEqualsSumOfBlocks) {
@@ -152,63 +150,14 @@ TEST(QuantFrame, InvalidBlockRejectedAtEncodeAndDecode) {
   msg.q8_block = 16;
   EXPECT_THROW(comm::encode_frame(msg), CheckError);
 
-  // A CRC-valid frame whose header carries a bad q8 tag must fail decode
-  // gracefully (error string, no throw): body[1] is the precision slot.
+  // A frame whose header carries a bad q8 tag must fail decode gracefully
+  // (error string, no throw): byte 1 is the precision slot.
   auto frame = comm::encode_frame(q8_message(1, 8, 32));
-  frame[4 + 1] = 0x80 | 16;  // after the u32 length prefix
-  const std::uint32_t body_len =
-      static_cast<std::uint32_t>(frame.size() - comm::kFrameOverheadBytes);
-  const std::uint32_t crc = comm::frame_crc(frame.data() + 4, body_len);
-  // Deliberate frame surgery: this test re-seals a tampered frame.
-  // vela-lint: allow(wire-memcpy)
-  std::memcpy(frame.data() + 4 + body_len, &crc, sizeof(crc));
+  frame[1] = 0x80 | 16;
   comm::Message out;
   std::string error;
   EXPECT_FALSE(comm::decode_frame(frame, &out, &error));
   EXPECT_NE(error.find("q8"), std::string::npos) << error;
-}
-
-TEST(QuantFrame, CorruptedBytesRejectedByCrc) {
-  for (const std::size_t rows : {1u, 64u}) {
-    auto frame = comm::encode_frame(q8_message(rows, 65, 64));
-    frame[frame.size() / 2] ^= 0x40;
-    comm::Message out;
-    std::string error;
-    EXPECT_FALSE(comm::decode_frame(frame, &out, &error)) << rows;
-  }
-}
-
-TEST(QuantFrame, DecoderReassemblesOneByteTornReads) {
-  // Smallest q8 frame (1x1 payload: header + one short block) followed by
-  // the largest in the test (64x128), fed one byte at a time — no read
-  // boundary ever aligns with a frame.
-  const comm::Message small = q8_message(1, 1, 32, /*seed=*/21);
-  const comm::Message large = q8_message(64, 128, 64, /*seed=*/22);
-  std::vector<std::uint8_t> stream;
-  for (const auto* m : {&small, &large}) {
-    const auto f = comm::encode_frame(*m);
-    stream.insert(stream.end(), f.begin(), f.end());
-  }
-
-  comm::FrameDecoder decoder;
-  std::vector<comm::Message> out;
-  std::vector<std::uint8_t> frame;
-  for (const std::uint8_t byte : stream) {
-    decoder.feed(&byte, 1);
-    while (decoder.next(&frame)) {
-      comm::Message m;
-      std::string error;
-      ASSERT_TRUE(comm::decode_frame(frame, &m, &error)) << error;
-      out.push_back(std::move(m));
-    }
-  }
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(decoder.buffered_bytes(), 0u);
-  EXPECT_EQ(out[0].payload.size(), 1u);
-  ASSERT_EQ(out[1].payload.size(), large.payload.size());
-  for (std::size_t i = 0; i < large.payload.size(); ++i) {
-    EXPECT_EQ(out[1].payload[i], large.payload[i]);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-#include "comm/serialize.h"
+#include "serialize.h"
 
 #include <gtest/gtest.h>
 

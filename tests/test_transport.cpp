@@ -1,9 +1,13 @@
 // Transport-fabric suite (`ctest -L transport`).
 //
-// Three layers of contract, bottom up:
-//  * frame codec — every Message round-trips bit-exactly (all 24 types,
-//    zero-length and phantom payloads, fragments, checksums), torn reads
-//    re-segment, and corrupt or oversize frames are rejected loudly;
+// Four layers of contract, bottom up:
+//  * frame codec — every Message round-trips bit-exactly (every type,
+//    zero-length and phantom payloads, fragments, checksums), malformed
+//    headers are refused on both sides, and a generated truncation/bit-flip
+//    sweep never crashes the decoder;
+//  * session records — the socket stream's length and CRC: torn 1-byte
+//    feeds reassemble, and a CRC mismatch or oversize length is stream
+//    corruption;
 //  * transport semantics — both backends honour the blocking-queue contract:
 //    FIFO order, close-then-drain, timed receive, cross-thread delivery;
 //  * backend equivalence — the same two-step fine-tune (healthy and faulted,
@@ -24,6 +28,7 @@
 #include "comm/fault_injector.h"
 #include "comm/frame.h"
 #include "comm/message.h"
+#include "comm/session.h"
 #include "comm/traffic_meter.h"
 #include "comm/transport.h"
 #include "core/vela_system.h"
@@ -53,6 +58,7 @@ void expect_bit_identical(const comm::Message& a, const comm::Message& b,
   EXPECT_EQ(a.step, b.step) << what;
   EXPECT_EQ(a.phantom_bytes, b.phantom_bytes) << what;
   EXPECT_EQ(a.wire_bits, b.wire_bits) << what;
+  EXPECT_EQ(a.q8_block, b.q8_block) << what;
   EXPECT_EQ(a.chunk_index, b.chunk_index) << what;
   EXPECT_EQ(a.chunk_count, b.chunk_count) << what;
   EXPECT_EQ(a.checksum, b.checksum) << what;
@@ -64,6 +70,13 @@ void expect_bit_identical(const comm::Message& a, const comm::Message& b,
         << what << ": payload bits differ";
   }
   EXPECT_EQ(a.wire_size(), b.wire_size()) << what;
+}
+
+comm::Message tiny_message(std::uint8_t tag) {
+  comm::Message msg;
+  msg.type = comm::MessageType::kProbe;
+  msg.request_id = tag;
+  return msg;
 }
 
 comm::Message round_trip(const comm::Message& msg) {
@@ -115,7 +128,7 @@ TEST(FrameCodec, ZeroLengthPayloadRoundTrips) {
   msg.request_id = 42;
   const comm::Message decoded = round_trip(msg);
   expect_bit_identical(msg, decoded, "zero-length");
-  // A control frame is tiny: framing overhead plus the fixed body fields.
+  // A control frame is just the fixed body fields.
   EXPECT_LT(comm::encode_frame(msg).size(), 64u);
 }
 
@@ -137,39 +150,6 @@ TEST(FrameCodec, LargePayloadRoundTripsExactly) {
   expect_bit_identical(msg, decoded, "large payload");
 }
 
-TEST(FrameCodec, TornReadsReassembleByteByByte) {
-  Rng rng(23);
-  std::vector<comm::Message> originals;
-  std::vector<std::uint8_t> stream;
-  for (int i = 0; i < 3; ++i) {
-    comm::Message msg;
-    msg.type = comm::MessageType::kExpertForward;
-    msg.request_id = static_cast<std::uint64_t>(i + 1);
-    msg.payload = ops::randn({2, static_cast<std::size_t>(i + 1)}, rng);
-    const auto frame = comm::encode_frame(msg);
-    stream.insert(stream.end(), frame.begin(), frame.end());
-    originals.push_back(std::move(msg));
-  }
-
-  comm::FrameDecoder decoder;
-  std::vector<comm::Message> decoded;
-  for (const std::uint8_t byte : stream) {
-    decoder.feed(&byte, 1);  // worst-case re-segmentation: 1-byte reads
-    std::vector<std::uint8_t> frame;
-    while (decoder.next(&frame)) {
-      comm::Message out;
-      std::string error;
-      ASSERT_TRUE(comm::decode_frame(frame, &out, &error)) << error;
-      decoded.push_back(std::move(out));
-    }
-  }
-  ASSERT_EQ(decoded.size(), originals.size());
-  for (std::size_t i = 0; i < decoded.size(); ++i) {
-    expect_bit_identical(originals[i], decoded[i], "torn read");
-  }
-  EXPECT_EQ(decoder.buffered_bytes(), 0u);
-}
-
 TEST(FrameCodec, CorruptedFramesAreRejected) {
   comm::Message msg;
   msg.type = comm::MessageType::kExpertForward;
@@ -178,44 +158,17 @@ TEST(FrameCodec, CorruptedFramesAreRejected) {
   comm::Message out;
   std::string error;
 
-  // A flipped body byte breaks the CRC.
-  std::vector<std::uint8_t> flipped = good;
-  flipped[8] ^= 0x40;
-  EXPECT_FALSE(comm::decode_frame(flipped, &out, &error));
-  EXPECT_NE(error.find("CRC"), std::string::npos) << error;
-
-  // A flipped CRC byte breaks the CRC check too.
-  std::vector<std::uint8_t> bad_crc = good;
-  bad_crc.back() ^= 0x01;
-  EXPECT_FALSE(comm::decode_frame(bad_crc, &out, nullptr));
-
-  // Truncation and trailing garbage disagree with the length prefix.
+  // Truncation and trailing garbage disagree with the shape descriptor.
   std::vector<std::uint8_t> truncated(good.begin(), good.end() - 1);
-  EXPECT_FALSE(comm::decode_frame(truncated, &out, nullptr));
+  EXPECT_FALSE(comm::decode_frame(truncated, &out, &error));
+  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
   std::vector<std::uint8_t> padded = good;
   padded.push_back(0);
-  EXPECT_FALSE(comm::decode_frame(padded, &out, nullptr));
+  EXPECT_FALSE(comm::decode_frame(padded, &out, &error));
+  EXPECT_NE(error.find("trailing"), std::string::npos) << error;
 
   // Intact frames still decode (the rejects above copied, not mutated).
   EXPECT_TRUE(comm::decode_frame(good, &out, &error)) << error;
-}
-
-TEST(FrameCodec, OversizeLengthPrefixIsStreamCorruption) {
-  // Craft a frame whose length prefix exceeds the body limit: decode_frame
-  // rejects it gracefully, the streaming decoder fails the VELA_CHECK (a
-  // desynchronized stream cannot be resynchronized — fail loudly).
-  const std::uint32_t huge = comm::kMaxFrameBodyBytes + 1;
-  std::vector<std::uint8_t> frame(sizeof(huge));
-  // vela-lint: allow(wire-memcpy) -- hand-crafting a corrupt length prefix
-  std::memcpy(frame.data(), &huge, sizeof(huge));
-  comm::Message out;
-  std::string error;
-  EXPECT_FALSE(comm::decode_frame(frame, &out, &error));
-
-  comm::FrameDecoder decoder;
-  decoder.feed(frame.data(), frame.size());
-  std::vector<std::uint8_t> next;
-  EXPECT_THROW((void)decoder.next(&next), CheckError);
 }
 
 // The end-to-end (Message-level) checksum is body payload to the frame
@@ -234,13 +187,339 @@ TEST(FrameCodec, MessageChecksumTravelsInsideTheFrame) {
   EXPECT_FALSE(decoded.checksum_ok());
 }
 
+// Body offsets of the header fields decode_frame validates (frame.h layout).
+constexpr std::size_t kTypeAt = 0;
+constexpr std::size_t kPrecisionAt = 1;
+constexpr std::size_t kChunkIndexAt = 2;
+constexpr std::size_t kChunkCountAt = 3;
+constexpr std::size_t kRankAt = 40;
+
+// Every header byte the frame cannot carry is refused on both sides: by
+// decode_frame as a clean rejection, and by encode_frame as a CheckError
+// for the Message that would have produced it.
+TEST(FrameCodec, MalformedHeadersAreRejected) {
+  comm::Message base;
+  base.type = comm::MessageType::kExpertForward;
+  base.payload = Tensor::ones({2, 3});
+  const std::vector<std::uint8_t> good = comm::encode_frame(base);
+  ASSERT_EQ(good.size(), 44u + 2 * 8 + 6 * sizeof(float));
+
+  struct Case {
+    const char* what;
+    std::size_t at;
+    std::uint8_t value;
+    const char* error;  // substring of decode_frame's reason
+  };
+  const Case kCases[] = {
+      {"wire_bits 24", kPrecisionAt, 24, "wire_bits"},
+      {"wire_bits 0", kPrecisionAt, 0, "wire_bits"},
+      {"wire_bits 8 without a q8 tag", kPrecisionAt, 8, "wire_bits"},
+      {"wire_bits 64", kPrecisionAt, 64, "wire_bits"},
+      {"q8 block 16", kPrecisionAt, 0x80 | 16, "q8"},
+      {"q8 block 0", kPrecisionAt, 0x80, "q8"},
+      {"type past the enum",
+       kTypeAt,
+       static_cast<std::uint8_t>(
+           static_cast<unsigned>(comm::kLastMessageType) + 1),
+       "type"},
+      {"type 0xFF", kTypeAt, 0xFF, "type"},
+      {"chunk_index == chunk_count", kChunkIndexAt, 1, "fragment"},
+      {"chunk_count 0", kChunkCountAt, 0, "fragment"},
+      {"rank 3 over a rank-2 body", kRankAt, 3, "dimension"},
+      {"rank 0xFF", kRankAt, 0xFF, "truncated"},
+  };
+  for (const Case& c : kCases) {
+    std::vector<std::uint8_t> bad = good;
+    bad[c.at] = c.value;
+    comm::Message out;
+    std::string error;
+    EXPECT_FALSE(comm::decode_frame(bad, &out, &error)) << c.what;
+    EXPECT_NE(error.find(c.error), std::string::npos)
+        << c.what << ": " << error;
+  }
+
+  // Valid precision slots decode: 16, 32 and 0x80|{32, 64}.
+  for (const std::uint8_t slot : {std::uint8_t{16}, std::uint8_t{32},
+                                  std::uint8_t{0x80 | 32},
+                                  std::uint8_t{0x80 | 64}}) {
+    std::vector<std::uint8_t> ok = good;
+    ok[kPrecisionAt] = slot;
+    comm::Message out;
+    std::string error;
+    EXPECT_TRUE(comm::decode_frame(ok, &out, &error))
+        << unsigned{slot} << ": " << error;
+    EXPECT_EQ(comm::encode_frame(out), ok) << unsigned{slot};
+  }
+
+  // The encoder refuses the Messages behind those bytes.
+  const auto refuses = [&base](auto mutate) {
+    comm::Message msg = base;
+    mutate(msg);
+    EXPECT_THROW((void)comm::encode_frame(msg), CheckError);
+  };
+  refuses([](comm::Message& m) { m.wire_bits = 24; });
+  refuses([](comm::Message& m) { m.wire_bits = 0; });
+  refuses([](comm::Message& m) { m.wire_bits = 8; });  // no q8 block
+  refuses([](comm::Message& m) {
+    m.wire_bits = 8;
+    m.q8_block = 16;
+  });
+  refuses([](comm::Message& m) { m.q8_block = 32; });  // q8 block on fp32
+  refuses([](comm::Message& m) {
+    m.type = static_cast<comm::MessageType>(
+        static_cast<unsigned>(comm::kLastMessageType) + 1);
+  });
+  refuses([](comm::Message& m) {
+    m.chunk_index = 2;
+    m.chunk_count = 2;
+  });
+  refuses([](comm::Message& m) { m.chunk_count = 0; });
+}
+
+// One frame per MessageType covering every payload shape the codec knows:
+// fp32 rank 2, q8 rank 2, phantom, fp16 rank 3 and a rank-0 control body.
+std::vector<std::vector<std::uint8_t>> sweep_frames() {
+  Rng rng(404);
+  std::vector<std::vector<std::uint8_t>> frames;
+  const auto last = static_cast<unsigned>(comm::kLastMessageType);
+  for (unsigned t = 0; t <= last; ++t) {
+    comm::Message msg;
+    msg.type = static_cast<comm::MessageType>(t);
+    msg.request_id = 0x0F1E2D3C4B5A6978ull * (t + 1);
+    msg.source = t;
+    msg.layer = 2 * t;
+    msg.expert = 3 * t;
+    msg.step = 100 + t;
+    msg.chunk_index = static_cast<std::uint8_t>(t % 2);
+    msg.chunk_count = 2;
+    switch (t % 5) {
+      case 0:
+        msg.payload = ops::randn({2, 3}, rng);
+        break;
+      case 1:
+        msg.payload = ops::randn({2, 5}, rng);
+        msg.wire_bits = 8;
+        msg.q8_block = static_cast<std::uint8_t>(t % 2 == 0 ? 32 : 64);
+        break;
+      case 2:
+        msg.phantom_bytes = (3ull << 32) + t;
+        break;
+      case 3:
+        msg.payload = ops::randn({2, 1, 3}, rng);
+        msg.wire_bits = 16;
+        break;
+      default:  // rank-0 control message
+        break;
+    }
+    if (t % 3 == 0) msg.stamp_checksum();
+    frames.push_back(comm::encode_frame(msg));
+  }
+  return frames;
+}
+
+// Decodes a mutated frame; a success must re-encode to exactly those bytes.
+void expect_decode_is_exact(const std::vector<std::uint8_t>& bytes,
+                            const std::string& what) {
+  comm::Message out;
+  std::string error;
+  if (comm::decode_frame(bytes, &out, &error)) {
+    EXPECT_EQ(comm::encode_frame(out), bytes) << what;
+  } else {
+    EXPECT_FALSE(error.empty()) << what;
+  }
+}
+
+// Generated decoder sweep: every truncation length and every single-bit
+// flip of the header (fixed fields plus shape descriptor), and a fixed-seed
+// sample of payload bit flips, over one frame of every MessageType. The
+// decoder must never crash (run it under ASan and UBSan), and whatever it
+// accepts must re-encode byte for byte.
+TEST(FrameCodec, GeneratedTruncationAndBitFlipSweep) {
+  Rng rng(2024);
+  for (const std::vector<std::uint8_t>& frame : sweep_frames()) {
+    comm::Message original;
+    ASSERT_TRUE(comm::decode_frame(frame, &original));
+    const std::string type = comm::message_type_name(original.type);
+    for (std::size_t len = 0; len < frame.size(); ++len) {
+      const std::vector<std::uint8_t> prefix(
+          frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(len));
+      comm::Message out;
+      EXPECT_FALSE(comm::decode_frame(prefix, &out))
+          << type << " truncated to " << len;
+    }
+    const std::size_t header =
+        frame.size() - original.payload.size() * sizeof(float);
+    const auto flip = [&](std::size_t bit) {
+      std::vector<std::uint8_t> bad = frame;
+      bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      expect_decode_is_exact(bad, type + " bit " + std::to_string(bit));
+    };
+    for (std::size_t bit = 0; bit < header * 8; ++bit) flip(bit);
+    const std::size_t payload_bits = (frame.size() - header) * 8;
+    for (int i = 0; i < 16 && payload_bits > 0; ++i) {
+      flip(header * 8 + rng.uniform_index(payload_bits));
+    }
+  }
+}
+
+// --- session records (the socket stream's length and CRC) --------------------
+
+std::vector<std::uint8_t> record_of(const comm::Message& msg,
+                                    std::uint64_t seq) {
+  return comm::session::encode_data_record(seq, comm::encode_frame(msg));
+}
+
+comm::Message q8_message(std::size_t rows, std::size_t cols, unsigned block,
+                         std::uint64_t seed) {
+  comm::Message msg;
+  msg.type = comm::MessageType::kExpertForward;
+  msg.request_id = seed;
+  Rng rng(seed);
+  msg.payload = ops::randn({rows, cols}, rng);
+  msg.wire_bits = 8;
+  msg.q8_block = static_cast<std::uint8_t>(block);
+  return msg;
+}
+
+// Feeds `stream` one byte at a time — no read boundary ever aligns with a
+// record — and decodes every data record the parser yields.
+std::vector<comm::Message> parse_byte_by_byte(
+    const std::vector<std::uint8_t>& stream) {
+  comm::session::RecordParser parser;
+  std::vector<comm::Message> decoded;
+  comm::session::Record rec;
+  for (const std::uint8_t byte : stream) {
+    parser.feed(&byte, 1);
+    while (parser.next(&rec)) {
+      EXPECT_EQ(rec.type, comm::session::kRecData);
+      EXPECT_EQ(rec.seq, decoded.size());
+      comm::Message out;
+      std::string error;
+      EXPECT_TRUE(comm::decode_frame(rec.frame, &out, &error)) << error;
+      decoded.push_back(std::move(out));
+    }
+  }
+  EXPECT_EQ(parser.buffered_bytes(), 0u);
+  return decoded;
+}
+
+TEST(RecordParser, OneByteFeedsReassembleFp32Records) {
+  Rng rng(23);
+  std::vector<comm::Message> originals;
+  std::vector<std::uint8_t> stream;
+  for (int i = 0; i < 3; ++i) {
+    comm::Message msg;
+    msg.type = comm::MessageType::kExpertForward;
+    msg.request_id = static_cast<std::uint64_t>(i + 1);
+    msg.payload = ops::randn({2, static_cast<std::size_t>(i + 1)}, rng);
+    const auto rec = record_of(msg, static_cast<std::uint64_t>(i));
+    stream.insert(stream.end(), rec.begin(), rec.end());
+    originals.push_back(std::move(msg));
+  }
+  const std::vector<comm::Message> decoded = parse_byte_by_byte(stream);
+  ASSERT_EQ(decoded.size(), originals.size());
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    expect_bit_identical(originals[i], decoded[i], "torn read");
+  }
+}
+
+TEST(RecordParser, OneByteFeedsReassembleSmallAndLargeQ8Records) {
+  // The smallest q8 record (1x1 payload: one short block) followed by a
+  // large one (64x128).
+  const comm::Message small = q8_message(1, 1, 32, /*seed=*/21);
+  const comm::Message large = q8_message(64, 128, 64, /*seed=*/22);
+  std::vector<std::uint8_t> stream = record_of(small, 0);
+  const auto rec = record_of(large, 1);
+  stream.insert(stream.end(), rec.begin(), rec.end());
+  const std::vector<comm::Message> decoded = parse_byte_by_byte(stream);
+  ASSERT_EQ(decoded.size(), 2u);
+  expect_bit_identical(small, decoded[0], "small q8");
+  expect_bit_identical(large, decoded[1], "large q8");
+}
+
+// A corrupt byte anywhere the CRC covers (seq, the CRC itself, the frame) is
+// stream corruption: next() fails a check, next_lenient() reports it.
+TEST(RecordParser, CrcMismatchIsStreamCorruption) {
+  for (const std::size_t rows : {1u, 64u}) {
+    const auto good = record_of(q8_message(rows, 65, 64, rows), 0);
+    for (const std::size_t at :
+         {std::size_t{1}, std::size_t{13}, comm::kSessionDataOverheadBytes,
+          good.size() / 2, good.size() - 1}) {
+      std::vector<std::uint8_t> bad = good;
+      bad[at] ^= 0x40;
+      comm::session::Record rec;
+      comm::session::RecordParser strict;
+      strict.feed(bad.data(), bad.size());
+      try {
+        (void)strict.next(&rec);
+        ADD_FAILURE() << "rows " << rows << " byte " << at << " accepted";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos)
+            << e.what();
+      }
+      comm::session::RecordParser lenient;
+      lenient.feed(bad.data(), bad.size());
+      bool corrupt = false;
+      EXPECT_FALSE(lenient.next_lenient(&rec, &corrupt));
+      EXPECT_TRUE(corrupt) << "rows " << rows << " byte " << at;
+    }
+    // The intact record still parses (the rejects above copied).
+    comm::session::RecordParser parser;
+    parser.feed(good.data(), good.size());
+    comm::session::Record rec;
+    EXPECT_TRUE(parser.next(&rec));
+  }
+}
+
+TEST(RecordParser, OversizeLengthIsStreamCorruption) {
+  // A data record header whose length exceeds the frame limit: a byte
+  // stream cannot resynchronize after it, so the parser fails loudly before
+  // waiting for (or buffering) a gigabyte.
+  std::vector<std::uint8_t> rec = record_of(tiny_message(1), 0);
+  const std::uint32_t huge = comm::kMaxFrameBodyBytes + 1;
+  for (int i = 0; i < 4; ++i) {
+    rec[9 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(huge >> (8 * i));
+  }
+  rec.resize(comm::kSessionDataOverheadBytes);
+  comm::session::Record out;
+  comm::session::RecordParser strict;
+  strict.feed(rec.data(), rec.size());
+  EXPECT_THROW((void)strict.next(&out), CheckError);
+  comm::session::RecordParser lenient;
+  lenient.feed(rec.data(), rec.size());
+  bool corrupt = false;
+  EXPECT_FALSE(lenient.next_lenient(&out, &corrupt));
+  EXPECT_TRUE(corrupt);
+}
+
+// FNV-1a's xor-then-odd-multiply is a bijection per byte, so every
+// single-byte change of a record's covered bytes must be reported — checked
+// exhaustively (all 255 changes of every seq, CRC and frame byte) over the
+// sweep's frames.
+TEST(RecordParser, EverySingleByteChangeIsReportedCorrupt) {
+  for (const std::vector<std::uint8_t>& frame : sweep_frames()) {
+    const auto good = comm::session::encode_data_record(7, frame);
+    for (std::size_t at = 1; at < good.size(); ++at) {
+      if (at >= 9 && at < 13) continue;  // the length re-frames the stream
+      for (unsigned delta = 1; delta < 256; ++delta) {
+        std::vector<std::uint8_t> bad = good;
+        bad[at] ^= static_cast<std::uint8_t>(delta);
+        comm::session::RecordParser parser;
+        parser.feed(bad.data(), bad.size());
+        comm::session::Record rec;
+        bool corrupt = false;
+        EXPECT_FALSE(parser.next_lenient(&rec, &corrupt));
+        ASSERT_TRUE(corrupt) << "byte " << at << " ^ " << delta;
+      }
+    }
+  }
+}
+
 // --- transport semantics (both backends) -------------------------------------
 
 std::vector<std::uint8_t> tiny_frame(std::uint8_t tag) {
-  comm::Message msg;
-  msg.type = comm::MessageType::kProbe;
-  msg.request_id = tag;
-  return comm::encode_frame(msg);
+  return comm::encode_frame(tiny_message(tag));
 }
 
 TEST(Transport, FifoOrderAndCloseThenDrain) {
