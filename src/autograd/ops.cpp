@@ -147,7 +147,7 @@ Variable rmsnorm(const Variable& x, const Variable& gain, float eps) {
         for (std::size_t j = 0; j < m; ++j)
           dx.at(i, j) = r * g.at(j) * dy.at(i, j) - c * px.at(i, j);
       });
-      node.parents[0]->accumulate_grad(dx);
+      node.parents[0]->accumulate_grad(std::move(dx));
     }
     if (node.parents[1]->requires_grad) {
       Tensor dg({m});
@@ -156,7 +156,7 @@ Variable rmsnorm(const Variable& x, const Variable& gain, float eps) {
         for (std::size_t j = 0; j < m; ++j)
           dg.at(j) += dy.at(i, j) * px.at(i, j) * r;
       }
-      node.parents[1]->accumulate_grad(dg);
+      node.parents[1]->accumulate_grad(std::move(dg));
     }
   });
 }
@@ -218,7 +218,7 @@ Variable embedding(const Variable& weight, const std::vector<std::size_t>& ids) 
   return make_op(std::move(value), {weight}, [ids_copy](Node& n) {
     Tensor dw(n.parents[0]->value.shape());
     ops::scatter_add_rows(dw, n.grad, *ids_copy);
-    n.parents[0]->accumulate_grad(dw);
+    n.parents[0]->accumulate_grad(std::move(dw));
   });
 }
 
@@ -228,7 +228,7 @@ Variable gather_rows(const Variable& x, const std::vector<std::size_t>& indices)
   return make_op(std::move(value), {x}, [idx](Node& n) {
     Tensor dx(n.parents[0]->value.shape());
     ops::scatter_add_rows(dx, n.grad, *idx);
-    n.parents[0]->accumulate_grad(dx);
+    n.parents[0]->accumulate_grad(std::move(dx));
   });
 }
 
@@ -240,7 +240,7 @@ Variable remote_rows(const Variable& x, std::vector<std::size_t> rows,
                      Tensor value, PostGrad post) {
   VELA_CHECK(!rows.empty() && value.rank() == 2 && value.rows() == rows.size());
   auto idx = std::make_shared<const std::vector<std::size_t>>(std::move(rows));
-  return make_op(
+  return make_ordered_op(
       std::move(value), {x}, [idx, post = std::move(post)](Node& n) {
         Node& px = *n.parents[0];
         px.defer_grad([idx, reply = post(n.grad), shape = px.value.shape()] {
@@ -279,7 +279,7 @@ Variable scale_rows(const Variable& x, const Variable& weights) {
       for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < m; ++j)
           dx.at(i, j) = node.grad.at(i, j) * pw.at(i);
-      node.parents[0]->accumulate_grad(dx);
+      node.parents[0]->accumulate_grad(std::move(dx));
     }
     if (node.parents[1]->requires_grad) {
       Tensor dw({n});
@@ -289,7 +289,7 @@ Variable scale_rows(const Variable& x, const Variable& weights) {
           acc += double(node.grad.at(i, j)) * px.at(i, j);
         dw.at(i) = static_cast<float>(acc);
       }
-      node.parents[1]->accumulate_grad(dw);
+      node.parents[1]->accumulate_grad(std::move(dw));
     }
   });
 }
@@ -308,7 +308,7 @@ Variable slice_cols(const Variable& x, std::size_t start, std::size_t len) {
     for (std::size_t i = 0; i < n; ++i)
       std::memcpy(dx.data() + i * cols + start, node.grad.data() + i * len,
                   len * sizeof(float));
-    node.parents[0]->accumulate_grad(dx);
+    node.parents[0]->accumulate_grad(std::move(dx));
   });
 }
 
@@ -321,7 +321,7 @@ Variable slice_vec(const Variable& x, std::size_t start, std::size_t len) {
   return make_op(std::move(value), {x}, [start, len, total](Node& node) {
     Tensor dx({total});
     std::memcpy(dx.data() + start, node.grad.data(), len * sizeof(float));
-    node.parents[0]->accumulate_grad(dx);
+    node.parents[0]->accumulate_grad(std::move(dx));
   });
 }
 
@@ -356,7 +356,7 @@ Variable concat_cols(const std::vector<Variable>& parts) {
                        std::memcpy(dp.data() + i * w,
                                    node.grad.data() + i * total + off,
                                    w * sizeof(float));
-                     node.parents[k]->accumulate_grad(dp);
+                     node.parents[k]->accumulate_grad(std::move(dp));
                    }
                  });
 }
@@ -390,7 +390,7 @@ Variable concat_rows(const std::vector<Variable>& parts) {
                      std::memcpy(dp.data(),
                                  node.grad.data() + row_offsets[k] * m,
                                  r * m * sizeof(float));
-                     node.parents[k]->accumulate_grad(dp);
+                     node.parents[k]->accumulate_grad(std::move(dp));
                    }
                  });
 }
@@ -401,7 +401,7 @@ Variable sum(const Variable& x) {
   return make_op(std::move(value), {x}, [](Node& n) {
     Tensor dx(n.parents[0]->value.shape());
     dx.fill(n.grad[0]);
-    n.parents[0]->accumulate_grad(dx);
+    n.parents[0]->accumulate_grad(std::move(dx));
   });
 }
 
@@ -412,7 +412,7 @@ Variable mean(const Variable& x) {
   return make_op(std::move(value), {x}, [inv](Node& n) {
     Tensor dx(n.parents[0]->value.shape());
     dx.fill(n.grad[0] * inv);
-    n.parents[0]->accumulate_grad(dx);
+    n.parents[0]->accumulate_grad(std::move(dx));
   });
 }
 
@@ -435,7 +435,7 @@ Variable logsumexp_rows(const Variable& x) {
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < m; ++j) dx.at(i, j) *= node.grad.at(i);
     }
-    node.parents[0]->accumulate_grad(dx);
+    node.parents[0]->accumulate_grad(std::move(dx));
   });
 }
 
@@ -447,7 +447,7 @@ Variable cross_entropy(const Variable& logits,
   return make_op(std::move(value), {logits}, [tgt](Node& n) {
     Tensor dl = ops::cross_entropy_grad(n.parents[0]->value, *tgt);
     dl.scale_(n.grad[0]);
-    n.parents[0]->accumulate_grad(dl);
+    n.parents[0]->accumulate_grad(std::move(dl));
   });
 }
 

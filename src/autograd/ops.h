@@ -60,8 +60,10 @@ using PostGrad = std::function<AwaitRows(const Tensor& dy)>;
 // defers the returned wait onto x: when the sweep reaches x, the reply rows
 // are scattered into a zero tensor of x's shape and summed into x's grad in
 // the order the posts were made — the sum gather_rows' backward would have
-// formed. Every remote op consuming x has posted before the first wait, so
-// a backend's gradient round trips overlap. rows must be non-empty.
+// formed. The op is ordered (make_ordered_op): posts and the wait on x
+// happen in the serial sweep's order at any lane count, so every remote op
+// consuming x has posted before the first wait and a backend's gradient
+// round trips overlap. rows must be non-empty.
 Variable remote_rows(const Variable& x, std::vector<std::size_t> rows,
                      Tensor value, PostGrad post);
 

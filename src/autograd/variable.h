@@ -8,15 +8,27 @@
 // handles (shared_ptr to the Node), so routing-dependent graphs — the MoE
 // dispatch — fall out naturally.
 //
-// A gradient contribution may also be *deferred*: its producer fires, starts
-// the work (a remote expert backward, ops.h remote_rows) and leaves a thunk
-// on the receiving node instead of a tensor. The sweep resolves a node's
-// thunks when it reaches that node, so every producer upstream of it has
-// fired — and posted its work — before the first wait. Once a node holds a
-// deferred entry, eager contributions queue behind it: the sum into `grad`
-// keeps the exact order in which the producers fired.
+// The reverse sweep is a wavefront over the pool's lanes (DESIGN.md §7). A
+// reverse post-order topological sort gives node k the rank k; ranks are
+// the order in which a one-lane, rank-by-rank sweep would fire the nodes.
+// A node fires once every consumer of it has fired, on whichever lane is
+// free. Each contribution a backward_fn hands a parent — eager
+// (accumulate_grad) or *deferred* (defer_grad: a thunk that produces the
+// contribution later, e.g. the wait for a remote expert backward's reply,
+// ops.h remote_rows) — goes into the parent's inbox, tagged with the
+// consumer's rank and the call's index within that backward_fn. When the
+// parent fires it sums its inbox in tag order, running each thunk in place:
+// exactly the serial engine's sum, so gradients are bit-identical at any
+// lane count.
+//
+// Ops with effects outside the graph are *ordered* (make_ordered_op; only
+// an ordered op may call defer_grad). An ordered node, and every node that
+// receives a deferred contribution, fires in ascending rank and one at a
+// time, so posts and waits happen in the serial engine's order — every
+// remote op consuming x has posted before x waits.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -33,26 +45,36 @@ namespace detail {
 // Returns the contribution (same shape as the receiving node's value).
 using DeferredGrad = std::function<Tensor()>;
 
+// One contribution held in a node's inbox until the node fires. `tag` is
+// (consumer rank << 32) | call index — the order the serial sweep sums in.
+struct Contribution {
+  std::uint64_t tag = 0;
+  Tensor eager;
+  DeferredGrad deferred;  // set iff the contribution is deferred
+};
+
 struct Node {
   Tensor value;
   Tensor grad;          // allocated lazily on first accumulation
   bool requires_grad = false;
   bool grad_ready = false;  // whether `grad` has been allocated
+  // Built by make_ordered_op: fires in rank order, one ordered node at a
+  // time, and may defer contributions.
+  bool ordered = false;
   std::vector<std::shared_ptr<Node>> parents;
   // Propagates this node's grad into the parents' grads. Empty for leaves.
   std::function<void(Node&)> backward_fn;
-  // Contributions still to be summed into `grad`, in call order: deferred
-  // thunks and the eager contributions that arrived after the first one.
-  std::vector<DeferredGrad> pending;
+  // Contributions received during the running sweep, summed when the node
+  // fires. Empty between sweeps, also after a failed one.
+  std::vector<Contribution> inbox;
 
-  // Sums g into `grad` — or queues it, if a deferred entry is pending.
-  void accumulate_grad(const Tensor& g);
+  // Hands g to this node. Inside a sweep it goes to the inbox; outside one
+  // (the root's seed) it is summed into `grad` at once.
+  void accumulate_grad(Tensor g);
+  // Hands a thunk to this node; only an ordered op's backward_fn may.
   void defer_grad(DeferredGrad g);
-  // Runs the pending entries in order and sums each result into `grad`.
-  // A throwing entry drops the rest of the queue.
-  void resolve_pending();
-
- private:
+  // Sums g into `grad`: the first contribution is moved in, later ones
+  // added elementwise.
   void add_grad(Tensor g);
 };
 
@@ -102,10 +124,12 @@ void backward(const Variable& root);
 // previously computed expert output (Fig. 4's gradient receiver). `grad`
 // must match root's shape.
 //
-// Both sweeps resolve a node's deferred contributions (Node::pending) when
-// they reach it, leaves included, so every grad is complete on return. An
-// exception from a deferred entry propagates out, and no node of the graph
-// keeps a pending entry.
+// Both sweeps run on ThreadPool::global().size() lanes, or on one when
+// called from inside a pool task or a LaneScope; the result is the same
+// bits either way. Every node's inbox, leaves included, is summed before
+// they return. The first failure (a throwing backward_fn or deferred thunk)
+// stops the sweep from handing out nodes; every inbox is cleared and the
+// failure of the lowest-rank node is rethrown.
 void backward_from(const Variable& root, const Tensor& grad);
 
 // Builds an interior node: value computed by the caller, parents recorded,
@@ -113,5 +137,11 @@ void backward_from(const Variable& root, const Tensor& grad);
 // grad. Exposed for ops.cpp and for user-defined ops.
 Variable make_op(Tensor value, std::vector<Variable> parents,
                  std::function<void(detail::Node&)> backward_fn);
+
+// make_op for a backward_fn with effects outside the graph (a post to a
+// remote expert, a thunk deferred onto a parent): the node fires in rank
+// order, one ordered node at a time.
+Variable make_ordered_op(Tensor value, std::vector<Variable> parents,
+                         std::function<void(detail::Node&)> backward_fn);
 
 }  // namespace vela::ag

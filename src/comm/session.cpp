@@ -52,7 +52,19 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 }  // namespace
 
 void RecordParser::feed(const std::uint8_t* data, std::size_t size) {
+  compact();
   buffer_.insert(buffer_.end(), data, data + size);
+}
+
+std::vector<std::uint8_t> RecordParser::take_buffered() {
+  compact();
+  return std::move(buffer_);
+}
+
+void RecordParser::compact() {
+  buffer_.erase(buffer_.begin(),
+                buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
 }
 
 namespace {
@@ -103,25 +115,27 @@ bool RecordParser::next_lenient(Record* out, bool* corrupt) {
 }
 
 bool RecordParser::parse(Record* out, const char** corrupt) {
-  if (buffer_.empty()) return false;
-  const std::uint8_t type = buffer_[0];
+  const std::uint8_t* rec = buffer_.data() + head_;
+  const std::size_t avail = buffer_.size() - head_;
+  if (avail == 0) return false;
+  const std::uint8_t type = rec[0];
   const std::size_t header = header_bytes_for(type);
   if (header == 0) {
     *corrupt = "unknown record type";
     return false;
   }
-  if (buffer_.size() < header) return false;
+  if (avail < header) return false;
   std::size_t total = header;
   if (type == kRecData) {
-    const std::uint32_t len = get_u32(buffer_.data() + 9);
+    const std::uint32_t len = get_u32(rec + 9);
     if (len > kMaxFrameBodyBytes) {
       *corrupt = "oversize data record length";
       return false;
     }
     total += len;
-    if (buffer_.size() < total) return false;
-    if (get_u32(buffer_.data() + kDataHeadBytes) !=
-        data_record_crc(buffer_.data(), buffer_.data() + header, len)) {
+    if (avail < total) return false;
+    if (get_u32(rec + kDataHeadBytes) !=
+        data_record_crc(rec, rec + header, len)) {
       *corrupt = "data record CRC mismatch";
       return false;
     }
@@ -132,16 +146,15 @@ bool RecordParser::parse(Record* out, const char** corrupt) {
   out->frame.clear();
   switch (type) {
     case kRecData:
-      out->seq = get_u64(buffer_.data() + 1);
-      out->frame.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(header),
-                        buffer_.begin() + static_cast<std::ptrdiff_t>(total));
+      out->seq = get_u64(rec + 1);
+      out->frame.assign(rec + header, rec + total);
       break;
     case kRecAck:
     case kRecHello:
-      out->seq = get_u64(buffer_.data() + 1);
+      out->seq = get_u64(rec + 1);
       break;
     case kRecIdent: {
-      const std::uint8_t* p = buffer_.data() + 1;
+      const std::uint8_t* p = rec + 1;
       const std::uint32_t magic = get_u32(p);
       const std::uint32_t version = get_u32(p + 4);
       out->ident.rank = get_u32(p + 8);
@@ -156,8 +169,7 @@ bool RecordParser::parse(Record* out, const char** corrupt) {
     case kRecGoodbye:
       break;  // goodbye carries nothing beyond the type byte
   }
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(total));
+  head_ += total;
   return true;
 }
 

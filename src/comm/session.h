@@ -108,19 +108,23 @@ class RecordParser {
   // Like next(), but a corrupt stream sets *corrupt and returns false
   // instead of failing a check (the listener rejects the peer and lives on).
   [[nodiscard]] bool next_lenient(Record* out, bool* corrupt);
-  [[nodiscard]] std::size_t buffered_bytes() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered_bytes() const {
+    return buffer_.size() - head_;
+  }
   // Moves out any bytes buffered past the last extracted record (a
   // handshake reader hands them to the adopting transport's parser).
-  [[nodiscard]] std::vector<std::uint8_t> take_buffered() {
-    return std::move(buffer_);
-  }
+  [[nodiscard]] std::vector<std::uint8_t> take_buffered();
 
  private:
-  // Extracts the next whole record; on a corrupt stream sets *corrupt to the
-  // reason and returns false.
+  // Extracts the next whole record at head_ and steps past it; on a corrupt
+  // stream sets *corrupt to the reason and returns false.
   bool parse(Record* out, const char** corrupt);
+  // Drops the consumed prefix [0, head_): once per feed, not per record, so
+  // parsing N buffered records moves each byte at most once.
+  void compact();
 
   std::vector<std::uint8_t> buffer_;
+  std::size_t head_ = 0;  // offset of the first unparsed byte
 };
 
 [[nodiscard]] std::vector<std::uint8_t> encode_data_record(

@@ -284,6 +284,7 @@ StepReport VelaSystem::train_step_accumulated(
     report.overlap_step_seconds += report.injected_delay_seconds;
   }
   history_.push_back(report);
+  last_record_ = record;
   return report;
 }
 

@@ -238,6 +238,9 @@ class VelaSystem {
   std::size_t steps_taken() const { return step_; }
   std::size_t overlap_chunks() const { return overlap_chunks_; }
   const std::vector<StepReport>& history() const { return history_; }
+  // The last step's per-phase master<->worker ledger (forward blocks
+  // 0..L-1, then backward L-1..0); empty before the first step.
+  const comm::VelaStepRecord& last_step_record() const { return last_record_; }
 
  private:
   // Shared tail of both constructors: model, planting, optimizer, comm
@@ -268,6 +271,7 @@ class VelaSystem {
   std::size_t overlap_chunks_ = 0;  // resolved pipeline depth (0/1 = off)
   std::size_t step_ = 0;
   std::vector<StepReport> history_;
+  comm::VelaStepRecord last_record_;
 };
 
 }  // namespace vela::core

@@ -295,6 +295,7 @@ struct EpRuntime::Impl {
   // Bytes of the flat backbone-gradient buffer one device all-reduces
   // (identical on every shard; shard 0 records it). Joined before read.
   std::uint64_t allreduce_bytes = 0;
+  comm::EpStepRecord last_record;  // the last step's merged ledger
 
   std::vector<std::unique_ptr<comm::Endpoint>> inbox;            // [server]
   std::vector<std::vector<std::unique_ptr<comm::Endpoint>>> reply;  // [srv][src]
@@ -449,6 +450,9 @@ EpStepReport EpRuntime::train_step(
   threads.reserve(im.n);
   for (std::size_t d = 0; d < im.n; ++d) {
     threads.emplace_back([&, d] {
+      // The shards already run data-parallel, wider than the pool: each
+      // shard's kernels, forward tasks and backward sweep run inline on it.
+      util::ThreadPool::LaneScope lane;
       try {
         im.shard_step(d, shards[d], &losses[d]);
       } catch (...) {
@@ -509,7 +513,12 @@ EpStepReport EpRuntime::train_step(
   record.allreduce_bytes_per_device = im.allreduce_bytes;
   report.comm_seconds = im.clock.ep_comm_seconds(record);
   report.step_seconds = im.clock.ep_step_seconds(record);
+  im.last_record = std::move(record);
   return report;
+}
+
+const comm::EpStepRecord& EpRuntime::last_step_record() const {
+  return impl_->last_record;
 }
 
 model::MoETransformer& EpRuntime::replica() { return *impl_->replicas[0]; }

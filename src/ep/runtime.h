@@ -83,6 +83,11 @@ class EpRuntime {
   // Shard 0's replica (all replicas stay in lockstep) — for evaluation.
   model::MoETransformer& replica();
 
+  // The last step's merged per-phase all-to-all ledger (forward blocks
+  // 0..L-1, then backward L-1..0) and all-reduce bytes; empty before the
+  // first step.
+  const comm::EpStepRecord& last_step_record() const;
+
   std::size_t num_shards() const;
   const comm::TrafficMeter& meter() const;
   const cluster::ClusterTopology& topology() const;

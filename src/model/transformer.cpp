@@ -1,8 +1,10 @@
 #include "model/transformer.h"
 
+#include <functional>
 #include <numeric>
 
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace vela::model {
 
@@ -52,10 +54,18 @@ ag::Variable MoETransformer::forward_batch(
   }
 
   for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    // Attention is per sequence (causal structure is intra-sequence).
+    // Attention is per sequence (causal structure is intra-sequence), so
+    // each sequence's block is one pool task writing only its own xs[s].
+    // The modules are const and every op inside a task runs inline, so the
+    // arithmetic is the serial loop's whatever the lane count.
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(xs.size());
     for (auto& x : xs) {
-      x = ag::add(x, attns_[l]->forward(attn_norms_[l]->forward(x)));
+      tasks.push_back([this, l, &x] {
+        x = ag::add(x, attns_[l]->forward(attn_norms_[l]->forward(x)));
+      });
     }
+    util::ThreadPool::global().run(tasks);
     // MoE pre-processing reshape: flatten all sequences into one token list.
     ag::Variable flat = xs.size() == 1 ? xs[0] : ag::concat_rows(xs);
     ag::Variable moe_out =

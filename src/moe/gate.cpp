@@ -201,7 +201,7 @@ ag::Variable routing_weights(const ag::Variable& logits,
           const auto& [t, e] = (*pairs)[i];
           dz.at(t, e) = w[i] * (dw[i] - static_cast<float>(inner[t]));
         }
-        node.parents[0]->accumulate_grad(dz);
+        node.parents[0]->accumulate_grad(std::move(dz));
       });
 }
 

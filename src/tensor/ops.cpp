@@ -202,16 +202,6 @@ Tensor silu_grad(const Tensor& a) {
   });
 }
 
-Tensor sigmoid(const Tensor& a) { return elementwise_unary(a, sigmoid_scalar); }
-
-Tensor tanh_t(const Tensor& a) {
-  return elementwise_unary(a, [](float x) { return std::tanh(x); });
-}
-
-Tensor relu(const Tensor& a) {
-  return elementwise_unary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-
 Tensor matmul(const Tensor& a, const Tensor& b) {
   VELA_CHECK_MSG(a.rank() == 2 && b.rank() == 2 && a.cols() == b.rows(),
                  "matmul shape mismatch " << a.shape_string() << " x "

@@ -23,9 +23,6 @@ Tensor neg(const Tensor& a);
 // SiLU (swish): x * sigmoid(x) — the activation inside Mistral's experts.
 Tensor silu(const Tensor& a);
 Tensor silu_grad(const Tensor& a);  // d silu / dx, elementwise
-Tensor sigmoid(const Tensor& a);
-Tensor tanh_t(const Tensor& a);
-Tensor relu(const Tensor& a);
 
 // --- linear algebra --------------------------------------------------------
 // C[n,m] = A[n,k] * B[k,m].

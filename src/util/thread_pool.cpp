@@ -13,7 +13,11 @@ namespace {
 // is executing pool tasks, so nested run()/parallel_for() calls go inline.
 thread_local bool tl_in_pool_task = false;
 
-std::unique_ptr<ThreadPool> g_pool;           // guarded by g_pool_mutex
+// The global pool is read through g_pool with one acquire load, so the
+// kernels' per-call global() takes no lock; g_pool_mutex only serializes
+// creating and replacing the pool that g_owned keeps alive.
+std::atomic<ThreadPool*> g_pool{nullptr};
+std::unique_ptr<ThreadPool> g_owned;  // guarded by g_pool_mutex
 std::mutex g_pool_mutex;
 
 }  // namespace
@@ -36,6 +40,12 @@ ThreadPool::~ThreadPool() {
 }
 
 bool ThreadPool::in_pool_task() { return tl_in_pool_task; }
+
+ThreadPool::LaneScope::LaneScope() : outer_(tl_in_pool_task) {
+  tl_in_pool_task = true;
+}
+
+ThreadPool::LaneScope::~LaneScope() { tl_in_pool_task = outer_; }
 
 void ThreadPool::work_on(Job& job) {
   tl_in_pool_task = true;
@@ -156,16 +166,23 @@ std::size_t ThreadPool::env_threads() {
 }
 
 ThreadPool& ThreadPool::global() {
+  if (ThreadPool* pool = g_pool.load(std::memory_order_acquire)) return *pool;
   std::lock_guard<std::mutex> lock(g_pool_mutex);
-  if (g_pool == nullptr) {
-    g_pool = std::make_unique<ThreadPool>(env_threads());
+  if (g_owned == nullptr) {
+    g_owned = std::make_unique<ThreadPool>(env_threads());
+    g_pool.store(g_owned.get(), std::memory_order_release);
   }
-  return *g_pool;
+  return *g_owned;
 }
 
 void ThreadPool::set_global_threads(std::size_t threads) {
+  auto next =
+      std::make_unique<ThreadPool>(threads == 0 ? env_threads() : threads);
   std::lock_guard<std::mutex> lock(g_pool_mutex);
-  g_pool = std::make_unique<ThreadPool>(threads == 0 ? env_threads() : threads);
+  g_pool.store(next.get(), std::memory_order_release);
+  // The old pool is destroyed here, under the lock: no task is in flight
+  // (the contract), so no lane still reads it.
+  g_owned = std::move(next);
 }
 
 }  // namespace vela::util

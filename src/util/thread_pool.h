@@ -14,7 +14,9 @@
 //    path (and what the determinism tests compare against).
 //  * No nested deadlock. A task that itself calls run()/parallel_for()
 //    executes the nested work inline on its own lane instead of blocking on
-//    a queue that may never drain.
+//    a queue that may never drain. A thread inside a LaneScope is treated
+//    the same way, and so is every lane of the autograd sweep (a pool task
+//    itself, autograd/variable.h): kernels under a lane run inline.
 //  * The caller participates: submitting N tasks to a pool of size T uses
 //    the caller as one of the T lanes, so a pool of size T spawns T-1
 //    threads and size()==1 spawns none.
@@ -69,7 +71,24 @@ class ThreadPool {
   // submit guard); exposed so kernels can skip parallel setup work early.
   static bool in_pool_task();
 
+  // Marks the current thread as a lane for the scope's lifetime: every
+  // run()/parallel_for() on it executes inline, as inside a pool task.
+  // Threads that already form a data-parallel fan-out of their own (EP's
+  // shard threads) enter one, so their nested work does not queue on a
+  // pool that is narrower than the fan-out.
+  class LaneScope {
+   public:
+    LaneScope();
+    ~LaneScope();
+    LaneScope(const LaneScope&) = delete;
+    LaneScope& operator=(const LaneScope&) = delete;
+
+   private:
+    bool outer_;  // the flag's value on entry, restored on exit
+  };
+
   // The process-wide pool, created on first use with env_threads() lanes.
+  // Lock-free once created: one acquire load of an atomic pointer.
   static ThreadPool& global();
   // Replaces the global pool (tests and benchmarks sweeping thread counts).
   // Must only be called while no tasks are in flight. `threads`==0 resets

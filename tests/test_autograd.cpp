@@ -254,12 +254,15 @@ enum class Mode { kEager, kDeferred, kThrows };
 
 // x receives contribution c[i] from op i. The root lists the ops in index
 // order, so the reverse sweep fires them last to first: c[n-1] reaches x
-// first. Eager ops accumulate at once; deferred ones queue a thunk.
+// first. Eager ops hand x a tensor; deferred ones are ordered ops
+// (make_ordered_op, the only ops that may defer) and hand x a thunk.
 Variable contribution_graph(const Variable& x, const std::vector<Tensor>& c,
                             const std::vector<Mode>& modes) {
   std::vector<Variable> users;
   for (std::size_t i = 0; i < c.size(); ++i) {
-    users.push_back(ag::make_op(
+    const auto build =
+        modes[i] == Mode::kEager ? ag::make_op : ag::make_ordered_op;
+    users.push_back(build(
         Tensor({1}), {x}, [g = c[i], mode = modes[i]](ag::detail::Node& n) {
           ag::detail::Node& px = *n.parents[0];
           switch (mode) {
@@ -306,7 +309,7 @@ std::vector<Tensor> contributions() {
 Tensor grad_of(const std::vector<Mode>& modes) {
   Variable x = Variable::leaf(Tensor({4}), true);
   ag::backward(contribution_graph(x, contributions(), modes));
-  EXPECT_TRUE(x.node()->pending.empty());
+  EXPECT_TRUE(x.node()->inbox.empty());
   return x.grad();
 }
 
@@ -338,8 +341,8 @@ TEST(AutogradDeferred, ThrowingThunkPropagatesAndLeavesNothingPending) {
   Variable root = contribution_graph(
       y, {c[0], c[1], c[2]}, {Mode::kDeferred, Mode::kThrows, Mode::kEager});
   EXPECT_THROW(ag::backward(root), std::runtime_error);
-  EXPECT_TRUE(y.node()->pending.empty());
-  EXPECT_TRUE(x.node()->pending.empty());
+  EXPECT_TRUE(y.node()->inbox.empty());
+  EXPECT_TRUE(x.node()->inbox.empty());
   EXPECT_FALSE(x.has_grad());  // the sweep never reached x
 
   // The leaf carries nothing stale into the next backward.
@@ -353,7 +356,7 @@ TEST(AutogradDeferred, LeafContributionsResolvedBeforeBackwardReturns) {
   ag::backward(contribution_graph(x, {c[0], c[3]},
                                   {Mode::kDeferred, Mode::kDeferred}));
   ASSERT_TRUE(x.has_grad());
-  EXPECT_TRUE(x.node()->pending.empty());
+  EXPECT_TRUE(x.node()->inbox.empty());
   Tensor expect = c[3];
   expect.add_(c[0]);
   EXPECT_EQ(0, std::memcmp(x.grad().data(), expect.data(), 4 * sizeof(float)));

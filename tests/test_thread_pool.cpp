@@ -1,6 +1,7 @@
 // util::ThreadPool contract tests: construction/teardown, task execution,
 // exception propagation (lowest index wins, matching serial order), the
-// nested-submit inline guard, the pool-of-1 serial fallback, and the fixed
+// nested-submit inline guard and LaneScope, the lock-free global pool, the
+// pool-of-1 serial fallback, and the fixed
 // partitioning that underwrites the bit-exact determinism guarantees.
 #include "util/thread_pool.h"
 
@@ -124,6 +125,62 @@ TEST(ThreadPool, NestedSubmitRunsInlineWithoutDeadlock) {
   pool.run(outer);
   EXPECT_EQ(inner_runs.load(), 4 * (4 + 10));
   EXPECT_FALSE(ThreadPool::in_pool_task());
+}
+
+TEST(ThreadPool, LaneScopeRunsNestedWorkInline) {
+  // A thread inside a LaneScope is a lane: its run()/parallel_for() execute
+  // on it, in index order, and the guard's old value returns on exit.
+  ThreadPool pool(4);
+  const std::thread::id self = std::this_thread::get_id();
+  std::vector<int> order;
+  {
+    ThreadPool::LaneScope lane;
+    EXPECT_TRUE(ThreadPool::in_pool_task());
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 6; ++i) {
+      tasks.push_back([&order, self, i] {
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        order.push_back(i);
+      });
+    }
+    pool.run(tasks);
+    pool.parallel_for(9, 2, [&order, self](std::size_t b, std::size_t,
+                                           std::size_t) {
+      EXPECT_EQ(std::this_thread::get_id(), self);
+      order.push_back(100 + static_cast<int>(b));
+    });
+    {
+      ThreadPool::LaneScope nested;
+    }
+    EXPECT_TRUE(ThreadPool::in_pool_task());
+  }
+  EXPECT_FALSE(ThreadPool::in_pool_task());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 100, 102, 104, 106,
+                                     108}));
+}
+
+TEST(ThreadPool, GlobalIsOnePoolAcrossConcurrentCallers) {
+  // global() is a lock-free read: threads calling it at once, and running
+  // kernels on what it returns, all see the one pool.
+  ThreadPool::set_global_threads(3);
+  ThreadPool* const expected = &ThreadPool::global();
+  std::atomic<int> total{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 6; ++t) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 20; ++round) {
+        ThreadPool& pool = ThreadPool::global();
+        EXPECT_EQ(&pool, expected);
+        pool.parallel_for(32, 4, [&](std::size_t b, std::size_t e,
+                                     std::size_t) {
+          total.fetch_add(static_cast<int>(e - b));
+        });
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(total.load(), 6 * 20 * 32);
+  ThreadPool::set_global_threads(0);
 }
 
 TEST(ThreadPool, PartitionBoundariesDependOnlyOnSizeAndGrain) {

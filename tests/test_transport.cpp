@@ -493,6 +493,45 @@ TEST(RecordParser, OversizeLengthIsStreamCorruption) {
   EXPECT_TRUE(corrupt);
 }
 
+// One large read of many small records (a 64 KB recv of control traffic):
+// every record parses, in order, and a record split across the next feed
+// still reassembles after the consumed prefix is compacted away.
+TEST(RecordParser, ThousandsOfRecordsFromOneFeedParseInOrder) {
+  constexpr std::size_t kRecords = 4000;
+  std::vector<std::uint8_t> stream;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    comm::Message msg = tiny_message(static_cast<std::uint8_t>(i));
+    msg.request_id = i;
+    const auto rec = record_of(msg, i);
+    stream.insert(stream.end(), rec.begin(), rec.end());
+  }
+  const auto tail = record_of(tiny_message(7), kRecords);
+  const std::size_t split = tail.size() / 2;
+  stream.insert(stream.end(), tail.begin(),
+                tail.begin() + static_cast<std::ptrdiff_t>(split));
+
+  comm::session::RecordParser parser;
+  parser.feed(stream.data(), stream.size());
+  comm::session::Record rec;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(parser.next(&rec)) << "record " << i;
+    ASSERT_EQ(rec.type, comm::session::kRecData);
+    ASSERT_EQ(rec.seq, i);
+    comm::Message out;
+    std::string error;
+    ASSERT_TRUE(comm::decode_frame(rec.frame, &out, &error)) << error;
+    ASSERT_EQ(out.request_id, i);
+  }
+  EXPECT_FALSE(parser.next(&rec));
+  EXPECT_EQ(parser.buffered_bytes(), split);
+
+  parser.feed(tail.data() + split, tail.size() - split);
+  ASSERT_TRUE(parser.next(&rec));
+  EXPECT_EQ(rec.seq, kRecords);
+  EXPECT_EQ(parser.buffered_bytes(), 0u);
+  EXPECT_FALSE(parser.next(&rec));
+}
+
 // FNV-1a's xor-then-odd-multiply is a bijection per byte, so every
 // single-byte change of a record's covered bytes must be reported — checked
 // exhaustively (all 255 changes of every seq, CRC and frame byte) over the
