@@ -59,11 +59,10 @@ int main() {
   rp_cfg.window = 40;
   rp_cfg.min_improvement = 0.05;
   core::Replanner replanner(rp_cfg, setting.model, &topology,
-                            double(kTokensPerStep));
+                            double(kTokensPerStep), setting.codec);
 
-  core::VelaTrafficModelConfig vt_cfg;
-  vt_cfg.bytes_per_token = setting.model.bytes_per_token();
-  core::VelaTrafficModel traffic(&topology, vt_cfg);
+  core::VelaTrafficModel traffic(
+      &topology, {setting.codec.row_bytes(setting.model.model_dim)});
 
   const double nodes = double(topology.num_nodes());
   const std::uint64_t per_expert_bytes =

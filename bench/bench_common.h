@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "cluster/topology.h"
+#include "comm/wire_codec.h"
+#include "core/profiler.h"
 #include "data/corpus.h"
 #include "model/config.h"
 #include "model/router_planting.h"
@@ -22,6 +24,8 @@ namespace vela::bench {
 struct Setting {
   std::string name;
   model::ModelConfig model;
+  // Prices one token row (b·H/8). The paper's settings account b = 16.
+  comm::WireCodec codec{comm::WireDtype::kFp16Accounted};
   data::CorpusConfig corpus;
   std::size_t num_domains = 64;
   double popularity_zipf = 1.1;   // per-layer expert popularity skew
@@ -113,32 +117,9 @@ struct SettingRuntime {
 inline placement::PlacementProblem make_problem(
     const Setting& s, const cluster::ClusterTopology& topology,
     const Tensor& probability, double capacity_slack = 1.34) {
-  placement::PlacementProblem p;
-  p.num_workers = topology.num_workers();
-  p.num_layers = s.model.num_layers;
-  p.num_experts = s.model.num_experts;
-  p.probability = probability;
-  p.tokens_per_step = static_cast<double>(kTokensPerStep);
-  p.bytes_per_token = static_cast<double>(s.model.bytes_per_token());
-  p.master_node = topology.master_node();
-  for (std::size_t w = 0; w < p.num_workers; ++w) {
-    p.bandwidth.push_back(topology.worker_bandwidth(w));
-    p.worker_node.push_back(topology.worker_node(w));
-  }
-  p.capacity = topology.uniform_capacities(
-      s.model.num_layers * s.model.num_experts, capacity_slack);
-  // The conventional EP layout (expert e on worker e mod N) is unbalanced
-  // when E is not a multiple of N; the testbed must be able to host it
-  // (the paper's GPUs do), so raise capacities to that layout's worst load.
-  for (std::size_t w = 0; w < p.num_workers; ++w) {
-    std::size_t experts_on_w = 0;
-    for (std::size_t e = 0; e < p.num_experts; ++e) {
-      if (e % p.num_workers == w) ++experts_on_w;
-    }
-    p.capacity[w] = std::max(p.capacity[w], experts_on_w * p.num_layers);
-  }
-  p.validate();
-  return p;
+  return core::build_placement_problem(probability, s.model, topology,
+                                       static_cast<double>(kTokensPerStep),
+                                       capacity_slack, s.codec);
 }
 
 struct StrategySet {

@@ -298,9 +298,8 @@ void write_bench_overlap_json() {
   SettingRuntime runtime(setting);
   const auto problem = make_problem(setting, topology, runtime.probability);
   StrategySet placements = make_placements(problem, setting.seed + 99);
-  core::VelaTrafficModelConfig vt_cfg;
-  vt_cfg.bytes_per_token = setting.model.bytes_per_token();
-  core::VelaTrafficModel vela_model(&topology, vt_cfg);
+  const core::VelaTrafficModel vela_model(
+      &topology, {setting.codec.row_bytes(setting.model.model_dim)});
   comm::CommClockConfig clock_cfg;
   clock_cfg.compute_seconds = 1.9;  // matches bench_fig6_steptime
   comm::CommClock clock(&topology, clock_cfg);

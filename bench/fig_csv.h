@@ -23,22 +23,6 @@
 
 namespace vela::bench {
 
-// Wire-tier byte models (DESIGN.md §13). The vela_f16 / vela_q8 series rerun
-// the SAME vela placement accounting with the per-token payload size of the
-// fp16 and block-quantized int8 wire dtypes; routing, placement and hop
-// counts are identical, so the series isolate the wire-format effect. For a
-// setting whose model already models wire_bits = 16, vela_f16_mb == vela_mb
-// cell-for-cell — pinned by tests/test_bench_golden.cpp as a sanity check.
-inline std::size_t f16_bytes_per_token(const model::ModelConfig& m) {
-  return m.model_dim * 2;
-}
-// int8 codes (1 B/element) plus one fp32 scale per block of the default
-// length — the exact Message::wire_size() charge for a 1×model_dim payload.
-inline std::size_t q8_bytes_per_token(const model::ModelConfig& m) {
-  return qblock::wire_payload_bytes(/*rows=*/1, m.model_dim,
-                                    qblock::kDefaultBlock);
-}
-
 inline const std::vector<std::string>& fig5_columns() {
   static const std::vector<std::string> cols = {
       "setting",     "step",  "sequential_mb", "random_mb",
@@ -52,6 +36,32 @@ inline const std::vector<std::string>& fig6_columns() {
       "vela_s",  "vela_overlap_s", "vela_f16_s",   "vela_q8_s"};
   return cols;
 }
+
+// The byte models of one setting (DESIGN.md §13): the setting's codec
+// prices the vela placements and the EP baseline; the f16 / q8 tier models
+// rerun the SAME vela accounting at the fp16 and block-int8 (default block)
+// row sizes, so the tier series isolate the wire-format effect. For a
+// setting whose codec already charges 16 bits, vela_f16_mb == vela_mb
+// cell-for-cell — pinned by tests/test_bench_golden.cpp as a sanity check.
+struct SettingModels {
+  SettingModels(const Setting& s, const cluster::ClusterTopology* topology)
+      : vela(topology, traffic(s.codec, s)),
+        f16(topology, traffic(comm::WireCodec{comm::WireDtype::kFp16}, s)),
+        q8(topology, traffic(comm::WireCodec{comm::WireDtype::kInt8,
+                                             qblock::kDefaultBlock},
+                             s)),
+        ep(topology, ep::EpConfig{s.codec.row_bytes(s.model.model_dim),
+                                  backbone_lora_grad_bytes(s.model)}) {}
+
+  core::VelaTrafficModel vela, f16, q8;
+  ep::ExpertParallelModel ep;
+
+ private:
+  static core::VelaTrafficModelConfig traffic(const comm::WireCodec& codec,
+                                              const Setting& s) {
+    return core::VelaTrafficModelConfig{codec.row_bytes(s.model.model_dim)};
+  }
+};
 
 struct Fig5SettingStats {
   RunningStat seq, rnd, vela, ep;
@@ -71,50 +81,25 @@ inline Fig5SettingStats emit_fig5_setting(
   const auto problem = make_problem(setting, topology, runtime.probability);
   StrategySet placements = make_placements(problem, setting.seed + 99);
 
-  core::VelaTrafficModelConfig vt_cfg;
-  vt_cfg.bytes_per_token = setting.model.bytes_per_token();
-  core::VelaTrafficModel vela_model(&topology, vt_cfg);
-
-  core::VelaTrafficModelConfig f16_cfg = vt_cfg;
-  f16_cfg.bytes_per_token = f16_bytes_per_token(setting.model);
-  core::VelaTrafficModel f16_model(&topology, f16_cfg);
-  core::VelaTrafficModelConfig q8_cfg = vt_cfg;
-  q8_cfg.bytes_per_token = q8_bytes_per_token(setting.model);
-  core::VelaTrafficModel q8_model(&topology, q8_cfg);
-
-  ep::EpConfig ep_cfg;
-  ep_cfg.bytes_per_token = setting.model.bytes_per_token();
-  ep_cfg.backbone_grad_bytes = backbone_lora_grad_bytes(setting.model);
-  ep::ExpertParallelModel ep_model(&topology, ep_cfg);
+  const SettingModels models(setting, &topology);
 
   const double nodes = static_cast<double>(topology.num_nodes());
   const std::size_t window = std::min<std::size_t>(100, steps);
   Fig5SettingStats stats;
   for (std::size_t step = 0; step < steps; ++step) {
     const auto plans = runtime.router.sample_step(tokens_per_step);
-    const double seq_mb =
-        double(vela_model.external_bytes(
-            vela_model.account_step(plans, placements.sequential))) /
-        1e6 / nodes;
-    const double rnd_mb =
-        double(vela_model.external_bytes(
-            vela_model.account_step(plans, placements.random))) /
-        1e6 / nodes;
-    const double vela_mb =
-        double(vela_model.external_bytes(
-            vela_model.account_step(plans, placements.vela))) /
-        1e6 / nodes;
+    const auto mb = [&](const core::VelaTrafficModel& m,
+                        const placement::Placement& p) {
+      return double(m.external_bytes(m.account_step(plans, p))) / 1e6 / nodes;
+    };
+    const double seq_mb = mb(models.vela, placements.sequential);
+    const double rnd_mb = mb(models.vela, placements.random);
+    const double vela_mb = mb(models.vela, placements.vela);
     const double ep_mb =
-        double(ep_model.external_bytes(ep_model.account_step(plans))) / 1e6 /
+        double(models.ep.external_bytes(models.ep.account_step(plans))) / 1e6 /
         nodes;
-    const double f16_mb =
-        double(f16_model.external_bytes(
-            f16_model.account_step(plans, placements.vela))) /
-        1e6 / nodes;
-    const double q8_mb =
-        double(q8_model.external_bytes(
-            q8_model.account_step(plans, placements.vela))) /
-        1e6 / nodes;
+    const double f16_mb = mb(models.f16, placements.vela);
+    const double q8_mb = mb(models.q8, placements.vela);
     stats.seq.add(seq_mb);
     stats.rnd.add(rnd_mb);
     stats.vela.add(vela_mb);
@@ -151,21 +136,7 @@ inline Fig6SettingStats emit_fig6_setting(
   const auto problem = make_problem(setting, topology, runtime.probability);
   StrategySet placements = make_placements(problem, setting.seed + 99);
 
-  core::VelaTrafficModelConfig vt_cfg;
-  vt_cfg.bytes_per_token = setting.model.bytes_per_token();
-  core::VelaTrafficModel vela_model(&topology, vt_cfg);
-
-  core::VelaTrafficModelConfig f16_cfg = vt_cfg;
-  f16_cfg.bytes_per_token = f16_bytes_per_token(setting.model);
-  core::VelaTrafficModel f16_model(&topology, f16_cfg);
-  core::VelaTrafficModelConfig q8_cfg = vt_cfg;
-  q8_cfg.bytes_per_token = q8_bytes_per_token(setting.model);
-  core::VelaTrafficModel q8_model(&topology, q8_cfg);
-
-  ep::EpConfig ep_cfg;
-  ep_cfg.bytes_per_token = setting.model.bytes_per_token();
-  ep_cfg.backbone_grad_bytes = backbone_lora_grad_bytes(setting.model);
-  ep::ExpertParallelModel ep_model(&topology, ep_cfg);
+  const SettingModels models(setting, &topology);
 
   comm::CommClockConfig clock_cfg;
   clock_cfg.compute_seconds = compute_seconds;
@@ -175,20 +146,20 @@ inline Fig6SettingStats emit_fig6_setting(
   for (std::size_t step = 0; step < steps; ++step) {
     const auto plans = runtime.router.sample_step(tokens_per_step);
     stats.seq.add(clock.vela_step_seconds(
-        vela_model.account_step(plans, placements.sequential)));
+        models.vela.account_step(plans, placements.sequential)));
     stats.rnd.add(clock.vela_step_seconds(
-        vela_model.account_step(plans, placements.random)));
+        models.vela.account_step(plans, placements.random)));
     const comm::VelaStepRecord vela_record =
-        vela_model.account_step(plans, placements.vela);
+        models.vela.account_step(plans, placements.vela);
     const core::ModeledStepTimes times =
         core::modeled_step_times(clock, vela_record, overlap_chunks);
     stats.vela.add(times.sequential_s);
     stats.vela_overlap.add(times.overlap_s);
-    stats.ep.add(clock.ep_step_seconds(ep_model.account_step(plans)));
+    stats.ep.add(clock.ep_step_seconds(models.ep.account_step(plans)));
     stats.vela_f16.add(clock.vela_step_seconds(
-        f16_model.account_step(plans, placements.vela)));
+        models.f16.account_step(plans, placements.vela)));
     stats.vela_q8.add(clock.vela_step_seconds(
-        q8_model.account_step(plans, placements.vela)));
+        models.q8.account_step(plans, placements.vela)));
   }
   csv.row(cells(setting.name, stats.ep.mean(), stats.seq.mean(),
                 stats.rnd.mean(), stats.vela.mean(), stats.vela_overlap.mean(),

@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "cluster/topology.h"
+#include "core/profiler.h"
 #include "model/router_planting.h"
 #include "moe/synthetic_router.h"
 #include "placement/evaluator.h"
@@ -44,29 +45,11 @@ int main(int argc, char** argv) {
   rcfg.seed = 23;
   moe::SyntheticRouter router(&routing, rcfg);
 
-  placement::PlacementProblem problem;
-  problem.num_workers = topology.num_workers();
-  problem.num_layers = shape.num_layers;
-  problem.num_experts = shape.num_experts;
-  problem.probability = router.estimate_probability(50000);
-  problem.tokens_per_step = 2048;
-  problem.bytes_per_token = double(shape.bytes_per_token());
-  problem.master_node = topology.master_node();
-  for (std::size_t w = 0; w < problem.num_workers; ++w) {
-    problem.bandwidth.push_back(topology.worker_bandwidth(w));
-    problem.worker_node.push_back(topology.worker_node(w));
-  }
-  problem.capacity = topology.uniform_capacities(
-      shape.num_layers * shape.num_experts, 1.34);
-  for (std::size_t w = 0; w < problem.num_workers; ++w) {
-    std::size_t experts_on_w = 0;
-    for (std::size_t e = 0; e < problem.num_experts; ++e) {
-      if (e % problem.num_workers == w) ++experts_on_w;
-    }
-    problem.capacity[w] =
-        std::max(problem.capacity[w], experts_on_w * problem.num_layers);
-  }
-  problem.validate();
+  // Priced with the codec a default VelaSystem resolves: the paper's b = 16
+  // unless VELA_WIRE_DTYPE names another dtype.
+  const placement::PlacementProblem problem = core::build_placement_problem(
+      router.estimate_probability(50000), shape, topology,
+      /*tokens_per_step=*/2048, /*capacity_slack=*/1.34);
 
   std::printf("\nexpected per-step communication (Eq. 7) and cross-node "
               "traffic for each strategy:\n");

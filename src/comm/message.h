@@ -10,6 +10,7 @@
 #include <string>
 #include <type_traits>
 
+#include "tensor/qblock.h"
 #include "tensor/tensor.h"
 
 namespace vela::comm {
@@ -110,10 +111,10 @@ struct Message {
     } else if (wire_bits == 8) {
       // Per-row block int8: codes + one fp32 scale per block (qblock.h).
       // Rank >= 2 payloads tile along dim 0; a flat payload is one row.
-      const std::uint64_t rows = payload.rank() >= 2 ? payload.dim(0) : 1;
-      const std::uint64_t cols = payload.size() / rows;
-      const std::uint64_t block = q8_block != 0 ? q8_block : 64;
-      body = rows * cols + rows * ((cols + block - 1) / block) * 4;
+      const std::size_t rows = qblock::tile_rows(payload);
+      body = qblock::wire_payload_bytes(
+          rows, payload.size() / rows,
+          q8_block != 0 ? q8_block : qblock::kDefaultBlock);
     } else {
       body = payload.wire_bytes(wire_bits);
     }

@@ -78,6 +78,11 @@ unsigned WireCodec::bits() const {
   }
 }
 
+std::size_t WireCodec::row_bytes(std::size_t cols) const {
+  if (is_int8()) return qblock::wire_payload_bytes(/*rows=*/1, cols, block);
+  return cols * (bits() / 8);
+}
+
 Tensor WireCodec::apply(Tensor payload) const {
   switch (dtype) {
     case WireDtype::kFp16:

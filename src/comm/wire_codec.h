@@ -19,6 +19,7 @@
 //      fp16-accounted wire for VELA (core::kVelaWireDefault), fp32 for EP.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -57,6 +58,10 @@ struct WireCodec {
 
   // Accounting depth stamped into Message::wire_bits.
   unsigned bits() const;
+  // Bytes Message::wire_size() charges for a 1×cols dispatch payload,
+  // header excluded — the b·H/8 of one token row in the paper's Eq. (5)–(7).
+  // Every traffic model and placement problem takes b from here.
+  std::size_t row_bytes(std::size_t cols) const;
   // false ⇒ apply() is the identity copy.
   bool transforms() const {
     return dtype == WireDtype::kFp16 || dtype == WireDtype::kInt8;

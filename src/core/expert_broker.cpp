@@ -214,11 +214,11 @@ comm::Message ExpertBroker::await_train_reply(
                          /*on_retransmit=*/nullptr, &attempt);
     } catch (const WorkerFailedError&) {
       if (escalations >= policy.max_retries) throw;
-      rlink.stats().retransmissions += train.size();
       for (const comm::Message& m : train) {
-        account(layer, /*backward=*/true, worker, m.wire_size(),
-                m.chunk_index == 0 ? 1 : 0);
-        rlink.post(comm::Message(m));
+        rlink.retransmit(m, [&](std::uint64_t bytes) {
+          account(layer, /*backward=*/true, worker, bytes,
+                  m.chunk_index == 0 ? 1 : 0);
+        });
       }
       attempt.timeout = std::chrono::milliseconds(static_cast<std::int64_t>(
           static_cast<double>(attempt.timeout.count()) * policy.backoff));

@@ -53,6 +53,8 @@ class ExpertBroker : public moe::ExpertBackend {
 
   void set_placement(const placement::Placement* placement);
   const placement::Placement* placement() const { return placement_; }
+  // The codec every dispatch message is transformed and stamped with.
+  const comm::WireCodec& codec() const { return codec_; }
 
   // Micro-chunked dispatch pipeline (VELA_OVERLAP, DESIGN.md §8): 0 or 1
   // keeps the sequential exchange; K >= 2 splits every expert group into K

@@ -101,6 +101,24 @@ void ReliableLink::post(comm::Message msg) {
   outstanding_[id] = std::move(copy);
 }
 
+void ReliableLink::retransmit(
+    comm::Message msg,
+    const std::function<void(std::uint64_t)>& on_retransmit) {
+  const std::uint64_t bytes = msg.wire_size();
+  ++stats_.retransmissions;
+  VELA_LOG_DEBUG("rlink") << "worker " << worker_ << ": retransmitting "
+                          << msg.to_string();
+  comm::Message copy = msg;
+  if (!link_->to_worker.send(std::move(msg))) {
+    throw WorkerFailedError(worker_, "channel severed while retransmitting");
+  }
+  outstanding_[copy.request_id] = std::move(copy);
+  if (audit::enabled()) {
+    audit::ConservationLedger::instance().on_retransmit(bytes);
+  }
+  if (on_retransmit) on_retransmit(bytes);
+}
+
 void ReliableLink::abandon_outstanding() {
   // remember() evicts oldest-first once the recent-set fills, so the order
   // keys enter it is observable. Sort before inserting: unordered_map
@@ -197,19 +215,7 @@ comm::Message ReliableLink::await(
     auto it = outstanding_.find(request_id);
     VELA_CHECK_MSG(it != outstanding_.end(),
                    "await without a posted request " << request_id);
-    comm::Message resend = it->second;
-    const std::uint64_t bytes = resend.wire_size();
-    ++stats_.retransmissions;
-    VELA_LOG_DEBUG("rlink") << "worker " << worker_ << ": retransmitting "
-                            << resend.to_string() << " (attempt "
-                            << (attempt + 2) << ")";
-    if (!link_->to_worker.send(std::move(resend))) {
-      throw WorkerFailedError(worker_, "channel severed while retransmitting");
-    }
-    if (audit::enabled()) {
-      audit::ConservationLedger::instance().on_retransmit(bytes);
-    }
-    if (on_retransmit) on_retransmit(bytes);
+    retransmit(it->second, on_retransmit);
     timeout_ms *= policy.backoff;
   }
 }

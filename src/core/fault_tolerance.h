@@ -99,6 +99,14 @@ class ReliableLink {
   // Throws WorkerFailedError if the channel is severed.
   void post(comm::Message msg);
 
+  // Re-sends `msg` as a recovery retransmission, keeping it as the request's
+  // retransmit copy: counts it in stats(), tallies the audit ledger's
+  // retransmit share and charges `on_retransmit(bytes)` (optional).
+  // Throws WorkerFailedError if the channel is severed.
+  void retransmit(comm::Message msg,
+                  const std::function<void(std::uint64_t)>& on_retransmit =
+                      nullptr);
+
   // Blocks for the reply to `request_id` of the given type, retransmitting
   // on timeout. `on_retransmit(bytes)` (optional) lets the caller charge
   // retransmitted bytes to its own ledgers; the TrafficMeter sees them

@@ -26,14 +26,15 @@ moe::RoutingStats profile_expert_access(
 placement::PlacementProblem build_placement_problem(
     const Tensor& probability, const model::ModelConfig& model_cfg,
     const cluster::ClusterTopology& topology, double tokens_per_step,
-    double capacity_slack) {
+    double capacity_slack, const comm::WireCodec& codec) {
   placement::PlacementProblem problem;
   problem.num_workers = topology.num_workers();
   problem.num_layers = model_cfg.num_layers;
   problem.num_experts = model_cfg.num_experts;
   problem.probability = probability;
   problem.tokens_per_step = tokens_per_step;
-  problem.bytes_per_token = static_cast<double>(model_cfg.bytes_per_token());
+  problem.bytes_per_token =
+      static_cast<double>(codec.row_bytes(model_cfg.model_dim));
   problem.master_node = topology.master_node();
   for (std::size_t w = 0; w < problem.num_workers; ++w) {
     problem.bandwidth.push_back(topology.worker_bandwidth(w));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/profiler.h"
 #include "placement/evaluator.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -10,11 +11,12 @@ namespace vela::core {
 
 Replanner::Replanner(ReplanConfig cfg, const model::ModelConfig& model,
                      const cluster::ClusterTopology* topology,
-                     double tokens_per_step)
+                     double tokens_per_step, const comm::WireCodec& codec)
     : cfg_(cfg),
       model_(model),
       topology_(topology),
-      tokens_per_step_(tokens_per_step) {
+      tokens_per_step_(tokens_per_step),
+      codec_(codec) {
   VELA_CHECK(topology != nullptr);
   VELA_CHECK(cfg_.interval > 0 && cfg_.window > 0);
   VELA_CHECK(cfg_.min_improvement >= 0.0);
@@ -58,34 +60,6 @@ Tensor Replanner::windowed_probability() const {
   return p;
 }
 
-placement::PlacementProblem Replanner::build_problem(
-    const Tensor& probability) const {
-  placement::PlacementProblem problem;
-  problem.num_workers = topology_->num_workers();
-  problem.num_layers = model_.num_layers;
-  problem.num_experts = model_.num_experts;
-  problem.probability = probability;
-  problem.tokens_per_step = tokens_per_step_;
-  problem.bytes_per_token = static_cast<double>(model_.bytes_per_token());
-  problem.master_node = topology_->master_node();
-  for (std::size_t w = 0; w < problem.num_workers; ++w) {
-    problem.bandwidth.push_back(topology_->worker_bandwidth(w));
-    problem.worker_node.push_back(topology_->worker_node(w));
-  }
-  problem.capacity = topology_->uniform_capacities(
-      model_.num_layers * model_.num_experts, cfg_.capacity_slack);
-  for (std::size_t w = 0; w < problem.num_workers; ++w) {
-    std::size_t experts_on_w = 0;
-    for (std::size_t e = 0; e < problem.num_experts; ++e) {
-      if (e % problem.num_workers == w) ++experts_on_w;
-    }
-    problem.capacity[w] =
-        std::max(problem.capacity[w], experts_on_w * problem.num_layers);
-  }
-  problem.validate();
-  return problem;
-}
-
 std::optional<placement::Placement> Replanner::maybe_replan(
     const placement::Placement& current) {
   if (steps_ == 0 || steps_ % cfg_.interval != 0) return std::nullopt;
@@ -93,7 +67,8 @@ std::optional<placement::Placement> Replanner::maybe_replan(
   ++evaluations_;
 
   const Tensor p = windowed_probability();
-  const placement::PlacementProblem problem = build_problem(p);
+  const placement::PlacementProblem problem = build_placement_problem(
+      p, model_, *topology_, tokens_per_step_, cfg_.capacity_slack, codec_);
   placement::LocalityAwarePlacement strategy;
   placement::Placement candidate = strategy.place(problem);
 

@@ -15,6 +15,7 @@
 #include <optional>
 
 #include "cluster/topology.h"
+#include "comm/wire_codec.h"
 #include "model/config.h"
 #include "moe/gate.h"
 #include "placement/locality_aware.h"
@@ -32,8 +33,10 @@ struct ReplanConfig {
 
 class Replanner {
  public:
+  // `codec` is the fleet's dispatch codec; it prices the re-solved LP.
   Replanner(ReplanConfig cfg, const model::ModelConfig& model,
-            const cluster::ClusterTopology* topology, double tokens_per_step);
+            const cluster::ClusterTopology* topology, double tokens_per_step,
+            const comm::WireCodec& codec);
 
   // Feeds one step's routing decisions (one plan per MoE block).
   void observe(const std::vector<moe::RoutePlan>& plans);
@@ -52,12 +55,11 @@ class Replanner {
   std::size_t replans_evaluated() const { return evaluations_; }
 
  private:
-  placement::PlacementProblem build_problem(const Tensor& probability) const;
-
   ReplanConfig cfg_;
   model::ModelConfig model_;
   const cluster::ClusterTopology* topology_;
   double tokens_per_step_;
+  comm::WireCodec codec_;
   // Sliding window of per-step per-(layer, expert) token counts.
   std::deque<std::vector<std::vector<std::uint64_t>>> window_counts_;
   std::deque<std::uint64_t> window_tokens_;

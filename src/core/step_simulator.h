@@ -22,7 +22,7 @@
 namespace vela::core {
 
 struct VelaTrafficModelConfig {
-  std::size_t bytes_per_token = 0;  // H · b / 8, one token one direction
+  std::size_t bytes_per_token = 0;  // codec.row_bytes(H): one token, one way
   std::uint64_t header_bytes = comm::Message::kHeaderBytes;
 };
 

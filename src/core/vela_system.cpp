@@ -117,7 +117,7 @@ const placement::Placement& VelaSystem::optimize_placement(
   tokens_per_step_ = tokens_per_step;
   const placement::PlacementProblem problem = build_placement_problem(
       profiled_->probability_matrix(), cfg_.model, master_->topology(),
-      tokens_per_step, cfg_.capacity_slack);
+      tokens_per_step, cfg_.capacity_slack, master_->broker().codec());
   placement::LocalityAwarePlacement strategy;
   const placement::Placement optimized = strategy.place(problem);
   placement_report_ = strategy.report();
@@ -312,9 +312,9 @@ void VelaSystem::degrade_after(const RecoveryReport& report) {
   // one, degrade_placement falls back to least-loaded.
   std::optional<placement::PlacementProblem> problem;
   if (profiled_.has_value()) {
-    problem = build_placement_problem(profiled_->probability_matrix(),
-                                      cfg_.model, master_->topology(),
-                                      tokens_per_step_, cfg_.capacity_slack);
+    problem = build_placement_problem(
+        profiled_->probability_matrix(), cfg_.model, master_->topology(),
+        tokens_per_step_, cfg_.capacity_slack, master_->broker().codec());
   }
   const placement::Placement next = placement::degrade_placement(
       master_->placement(), master_->dead_mask(),
@@ -341,7 +341,8 @@ void VelaSystem::enable_dynamic_replacement(const ReplanConfig& cfg,
   tokens_per_step_ = tokens_per_step;
   replanner_ = std::make_unique<Replanner>(cfg, cfg_.model,
                                            &master_->topology(),
-                                           tokens_per_step);
+                                           tokens_per_step,
+                                           master_->broker().codec());
 }
 
 }  // namespace vela::core

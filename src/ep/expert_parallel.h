@@ -26,7 +26,7 @@
 namespace vela::ep {
 
 struct EpConfig {
-  std::size_t bytes_per_token = 0;  // H · b / 8, one token one direction
+  std::size_t bytes_per_token = 0;  // codec.row_bytes(H): one token, one way
   // Bytes of the replicated backbone's trainable gradients (all-reduced at
   // the end of every step; fp32 like the optimizer state).
   std::uint64_t backbone_grad_bytes = 0;

@@ -14,7 +14,6 @@ ModelConfig ModelConfig::tiny_mistral() {
   cfg.num_experts = 6;
   cfg.top_k = 2;
   cfg.num_heads = 2;
-  cfg.wire_bits = 16;
   return cfg;
 }
 
@@ -28,7 +27,6 @@ ModelConfig ModelConfig::tiny_test() {
   cfg.num_experts = 4;
   cfg.top_k = 2;
   cfg.num_heads = 2;
-  cfg.wire_bits = 32;
   cfg.lora = nn::LoRAConfig{4, 8.0f, true};
   return cfg;
 }
@@ -43,7 +41,6 @@ ModelConfig ModelConfig::mixtral_8x7b_shape() {
   cfg.num_experts = 8;
   cfg.top_k = 2;
   cfg.num_heads = 32;
-  cfg.wire_bits = 16;
   return cfg;
 }
 
@@ -57,7 +54,7 @@ std::string ModelConfig::to_string() const {
   std::ostringstream os;
   os << name << " (L=" << num_layers << ", E=" << num_experts
      << ", k=" << top_k << ", H=" << model_dim << ", hidden=" << hidden_dim
-     << ", vocab=" << vocab << ", b=" << wire_bits << ")";
+     << ", vocab=" << vocab << ")";
   return os.str();
 }
 

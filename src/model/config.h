@@ -6,9 +6,12 @@
 //     the paper's TinyMistral-6x248M measurement subject (12 blocks × 6
 //     experts, top-2);
 //   * shape presets (mixtral_8x7b, gritlm_8x7b) — carry the real models'
-//     routing-relevant dimensions (L=32, E=8, k=2, H=4096, 16-bit features)
-//     and are consumed by the traffic/time accounting paths that regenerate
+//     routing-relevant dimensions (L=32, E=8, k=2, H=4096) and are
+//     consumed by the traffic/time accounting paths that regenerate
 //     Figs. 5–7. They are never instantiated as weight tensors.
+//
+// A config carries no wire precision: what one token row costs on the wire
+// is the resolved comm::WireCodec's row_bytes(model_dim).
 #pragma once
 
 #include <cstddef>
@@ -27,7 +30,6 @@ struct ModelConfig {
   std::size_t num_experts = 6;   // E, experts per block
   std::size_t top_k = 2;         // experts selected per token
   std::size_t num_heads = 2;
-  unsigned wire_bits = 16;       // b, bit depth of exchanged features
   nn::LoRAConfig lora{8, 16.0f, true};
 
   // Runnable: the TinyMistral-like measurement model of §III.
@@ -38,10 +40,6 @@ struct ModelConfig {
   static ModelConfig mixtral_8x7b_shape();
   // Shape-only: GritLM-8x7B (same architecture as Mixtral).
   static ModelConfig gritlm_8x7b_shape();
-
-  // Bytes moved per token per direction for one MoE block dispatch:
-  // H * b / 8 (the paper's D_{n,l} building block).
-  std::size_t bytes_per_token() const { return model_dim * wire_bits / 8; }
 
   std::string to_string() const;
 };

@@ -34,6 +34,7 @@ bench::Setting golden_setting() {
   bench::Setting s;
   s.name = "tiny-golden";
   s.model = model::ModelConfig::tiny_test();
+  s.codec = comm::WireCodec{comm::WireDtype::kFp32};
   s.corpus = data::CorpusConfig::wikitext_like(s.model.vocab, 6);
   s.num_domains = 6;
   s.seed = 7;
@@ -142,8 +143,8 @@ TEST(BenchGolden, Fig5SchemaAndInvariants) {
     // The paper's core claim, enforced per step: the locality-aware
     // placement never moves more bytes than the sequential layout.
     EXPECT_LE(vela_mb, seq_mb) << rows[i];
-    // Wire-tier claims (DESIGN.md §13). The golden model is tiny_test with
-    // wire_bits = 32, so vela_mb is fp32-accounted: the int8 tier must cut
+    // Wire-tier claims (DESIGN.md §13). The golden setting's codec is
+    // fp32, so vela_mb is fp32-accounted: the int8 tier must cut
     // the vela placement's external bytes at least 2x per step, and the
     // fp16 tier sits strictly between.
     EXPECT_LE(2.0 * q8_mb, vela_mb) << rows[i];
@@ -153,11 +154,11 @@ TEST(BenchGolden, Fig5SchemaAndInvariants) {
 }
 
 TEST(BenchGolden, Fig5F16TierMatchesNativeF16Accounting) {
-  // Sanity pin for the tier math: on a model that already models a 16-bit
-  // wire (bytes_per_token == model_dim * 2), the vela_f16_mb column must be
+  // Sanity pin for the tier math: on a setting whose codec already charges
+  // a 16-bit wire (row_bytes(H) == H * 2), the vela_f16_mb column must be
   // byte-identical to vela_mb — same placement, same plans, same bytes.
   bench::Setting s = golden_setting();
-  s.model.wire_bits = 16;
+  s.codec = comm::WireCodec{comm::WireDtype::kFp16Accounted};
   cluster::ClusterTopology topology(cluster::ClusterConfig::paper_testbed());
   {
     CsvWriter csv("golden_fig5_f16.csv", bench::fig5_columns());

@@ -115,56 +115,71 @@ TEST(Equivalence, TrajectoriesTrackAcrossMigration) {
   }
 }
 
+// Every dispatch codec: the analytic model charges b from the same codec the
+// live broker stamps its messages with, so its bytes are the measured bytes.
+constexpr comm::WireDtype kAllDtypes[] = {
+    comm::WireDtype::kFp32, comm::WireDtype::kFp16Accounted,
+    comm::WireDtype::kFp16, comm::WireDtype::kInt8};
+
+core::VelaTrafficModel traffic_model_of(core::VelaSystem& vela) {
+  return core::VelaTrafficModel(
+      &vela.topology(), {vela.master().broker().codec().row_bytes(
+                            vela.model().config().model_dim)});
+}
+
 TEST(Equivalence, TrafficModelReproducesMeasuredBytesExactly) {
-  auto cfg = system_config();
-  data::SyntheticCorpus corpus(
-      data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 37);
-  core::VelaSystem vela(cfg, &corpus);
-  auto batch = corpus.make_dataset(4, 8);
+  for (const comm::WireDtype dtype : kAllDtypes) {
+    SCOPED_TRACE(comm::wire_dtype_name(dtype));
+    auto cfg = system_config();
+    cfg.wire_dtype = dtype;
+    data::SyntheticCorpus corpus(
+        data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 37);
+    core::VelaSystem vela(cfg, &corpus);
+    auto batch = corpus.make_dataset(4, 8);
 
-  const std::uint64_t external_before =
-      vela.master().meter().lifetime_external_bytes();
-  vela.train_step(batch);
-  const std::uint64_t measured =
-      vela.master().meter().lifetime_external_bytes() - external_before;
+    const std::uint64_t external_before =
+        vela.master().meter().lifetime_external_bytes();
+    vela.train_step(batch);
+    const std::uint64_t measured =
+        vela.master().meter().lifetime_external_bytes() - external_before;
 
-  core::VelaTrafficModelConfig tm_cfg;
-  tm_cfg.bytes_per_token = cfg.model.model_dim * sizeof(float);
-  core::VelaTrafficModel traffic(&vela.topology(), tm_cfg);
-  const std::uint64_t simulated = traffic.external_bytes(
-      traffic.account_step(vela.model().last_plans(),
-                           vela.master().placement()));
+    const core::VelaTrafficModel traffic = traffic_model_of(vela);
+    const std::uint64_t simulated = traffic.external_bytes(
+        traffic.account_step(vela.model().last_plans(),
+                             vela.master().placement()));
 
-  // The only traffic the analytic model does not account for is the
-  // end-of-step optimizer broadcast: one header-only round trip per
-  // cross-node worker (4 of the 6 workers in the paper testbed).
-  const std::uint64_t control = 4u * 2u * comm::Message::kHeaderBytes;
-  EXPECT_EQ(measured, simulated + control);
+    // The only traffic the analytic model does not account for is the
+    // end-of-step optimizer broadcast: one header-only round trip per
+    // cross-node worker (4 of the 6 workers in the paper testbed).
+    const std::uint64_t control = 4u * 2u * comm::Message::kHeaderBytes;
+    EXPECT_EQ(measured, simulated + control);
+  }
 }
 
 TEST(Equivalence, StepRecordMatchesTrafficModelPhases) {
-  auto cfg = system_config();
-  data::SyntheticCorpus corpus(
-      data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 39);
-  core::VelaSystem vela(cfg, &corpus);
-  auto batch = corpus.make_dataset(4, 8);
+  for (const comm::WireDtype dtype : kAllDtypes) {
+    SCOPED_TRACE(comm::wire_dtype_name(dtype));
+    auto cfg = system_config();
+    cfg.wire_dtype = dtype;
+    data::SyntheticCorpus corpus(
+        data::CorpusConfig::wikitext_like(cfg.model.vocab, 6), 39);
+    core::VelaSystem vela(cfg, &corpus);
+    auto batch = corpus.make_dataset(4, 8);
 
-  vela.master().broker().begin_step();
-  ag::Variable loss = vela.model().loss_batch(batch);
-  ag::backward(loss);
-  auto live = vela.master().broker().finish_step();
+    vela.master().broker().begin_step();
+    ag::Variable loss = vela.model().loss_batch(batch);
+    ag::backward(loss);
+    auto live = vela.master().broker().finish_step();
 
-  core::VelaTrafficModelConfig tm_cfg;
-  tm_cfg.bytes_per_token = cfg.model.model_dim * sizeof(float);
-  core::VelaTrafficModel traffic(&vela.topology(), tm_cfg);
-  auto simulated = traffic.account_step(vela.model().last_plans(),
-                                        vela.master().placement());
+    auto simulated = traffic_model_of(vela).account_step(
+        vela.model().last_plans(), vela.master().placement());
 
-  ASSERT_EQ(live.phases.size(), simulated.phases.size());
-  for (std::size_t i = 0; i < live.phases.size(); ++i) {
-    for (std::size_t w = 0; w < live.phases[i].bytes.size(); ++w) {
-      EXPECT_EQ(live.phases[i].bytes[w], simulated.phases[i].bytes[w])
-          << "phase " << i << " worker " << w;
+    ASSERT_EQ(live.phases.size(), simulated.phases.size());
+    for (std::size_t i = 0; i < live.phases.size(); ++i) {
+      for (std::size_t w = 0; w < live.phases[i].bytes.size(); ++w) {
+        EXPECT_EQ(live.phases[i].bytes[w], simulated.phases[i].bytes[w])
+            << "phase " << i << " worker " << w;
+      }
     }
   }
 }

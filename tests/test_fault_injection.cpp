@@ -23,6 +23,7 @@
 #include "core/master.h"
 #include "core/vela_system.h"
 #include "tensor/ops.h"
+#include "util/audit.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -737,6 +738,7 @@ struct FirstGradient {
   std::size_t worker = 0;
   std::uint64_t message_index = 0;  // on (worker, kToWorker)
   std::size_t fragments = 0;        // of its train (1 when unchunked)
+  std::size_t rows = 0;             // token rows the train carries
   std::size_t block_groups = 0;     // requests of its block in flight
 };
 
@@ -761,7 +763,8 @@ FirstGradient first_gradient_request(int overlap_chunks) {
     ++first.block_groups;
   }
   first.worker = placement.worker_of(plans.size() - 1, expert);
-  first.fragments = fragments(last.expert_tokens[expert].size());
+  first.rows = last.expert_tokens[expert].size();
+  first.fragments = fragments(first.rows);
   for (std::size_t l = 0; l < plans.size(); ++l) {
     for (std::size_t e = 0; e < plans[l].num_experts; ++e) {
       const std::size_t rows = plans[l].expert_tokens[e].size();
@@ -806,6 +809,45 @@ TEST(BatchedBackwardFaults, DroppedFragmentRepostsOnlyItsTrain) {
   // The whole train went out again, not just the lost fragment.
   EXPECT_GE(faulted.stats.retransmissions, target.fragments);
   EXPECT_EQ(total(faulted.reports, &core::StepReport::retries), 0u);
+}
+
+TEST(BatchedBackwardFaults, RepostedTrainIsTalliedByTheAuditLedger) {
+  // A re-posted fragment train is a retransmission like any other: the
+  // conservation ledger's retransmit share must hold exactly its bytes.
+  const FirstGradient target = first_gradient_request(2);
+  ASSERT_EQ(target.fragments, 2u);
+  comm::FaultPlan plan;
+  plan.rules.push_back({target.worker, comm::LinkDir::kToWorker,
+                        target.message_index + 1, comm::FaultKind::kDrop,
+                        0.0});
+  core::FaultToleranceConfig ft = fast_ft();
+  // Long enough that only the dropped fragment's wait ever times out.
+  ft.retry.timeout = std::chrono::milliseconds(500);
+
+  audit::set_enabled_for_testing(true);
+  audit::LockOrderGraph::instance().reset_for_testing();
+  audit::ConservationLedger::instance().reset_for_testing();
+  std::vector<std::string> violations;
+  audit::set_violation_handler(
+      [&violations](const std::string& category, const std::string& detail) {
+        violations.push_back(category + ": " + detail);
+      });
+  const FaultedRun faulted = run_finetune(1, &plan, ft, 2);
+  const std::uint64_t retransmit_bytes =
+      audit::ConservationLedger::instance().snapshot().retransmit;
+  audit::set_violation_handler(nullptr);
+  audit::LockOrderGraph::instance().reset_for_testing();
+  audit::ConservationLedger::instance().reset_for_testing();
+  audit::set_enabled_for_testing(false);
+
+  for (const std::string& v : violations) ADD_FAILURE() << v;
+  EXPECT_EQ(total(faulted.reports, &core::StepReport::faults_injected), 1u);
+  EXPECT_EQ(faulted.stats.retransmissions, target.fragments);
+  // fp32 wire: fragment 0 carries the one header, the rows split between
+  // the two fragments.
+  const std::size_t model_dim = sys_config().model.model_dim;
+  EXPECT_EQ(retransmit_bytes, comm::Message::kHeaderBytes +
+                                  target.rows * model_dim * sizeof(float));
 }
 
 TEST(BatchedBackwardFaults, CrashWhileAwaitingGradientsRetriesTheStep) {

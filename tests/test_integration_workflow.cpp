@@ -5,6 +5,7 @@
 #include <cmath>
 #include <thread>
 
+#include "core/profiler.h"
 #include "core/step_simulator.h"
 #include "core/vela_system.h"
 #include "data/batch.h"
@@ -14,6 +15,7 @@
 #include "placement/sequential.h"
 #include "util/check.h"
 #include "util/stats.h"
+#include "scoped_env.h"
 #include "temp_path.h"
 
 namespace vela {
@@ -116,6 +118,26 @@ TEST(Workflow, TraceDrivenPlacementPipeline) {
             placement::expected_comm_seconds(
                 problem, placement::SequentialPlacement{}.place(problem)) +
                 1e-12);
+}
+
+TEST(Workflow, PlacementProblemTakesBFromTheCodec) {
+  const model::ModelConfig shape = model::ModelConfig::mixtral_8x7b_shape();
+  const cluster::ClusterTopology topology(
+      cluster::ClusterConfig::paper_testbed());
+  Tensor p({shape.num_layers, shape.num_experts});
+  p.fill(0.25f);
+  const comm::WireCodec int8{comm::WireDtype::kInt8, 32};
+  const auto problem = core::build_placement_problem(
+      p, shape, topology, 2048.0, 1.34, int8);
+  EXPECT_EQ(problem.bytes_per_token,
+            static_cast<double>(int8.row_bytes(shape.model_dim)));
+  EXPECT_EQ(problem.bytes_per_token, 4096.0 + 4.0 * 4096.0 / 32.0);
+  // Without a codec the builder prices what a default-config VelaSystem
+  // resolves: the paper's b = 16.
+  testutil::ScopedEnv unset("VELA_WIRE_DTYPE", nullptr);
+  EXPECT_EQ(core::build_placement_problem(p, shape, topology, 2048.0, 1.34)
+                .bytes_per_token,
+            2.0 * 4096.0);
 }
 
 TEST(Workflow, PlacementSerializationRoundTrip) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "autograd/ops.h"
+#include "comm/wire_codec.h"
 #include "moe/moe_block.h"
 #include "nn/optimizer.h"
 #include "tensor/ops.h"
@@ -37,9 +38,9 @@ TEST(ModelConfig, Presets) {
   EXPECT_EQ(mixtral.num_layers, 32u);
   EXPECT_EQ(mixtral.num_experts, 8u);
   EXPECT_EQ(mixtral.model_dim, 4096u);
-  EXPECT_EQ(mixtral.wire_bits, 16u);
-  // One token, one direction: H·b/8 = 4096·2 = 8192 bytes.
-  EXPECT_EQ(mixtral.bytes_per_token(), 8192u);
+  // One token, one direction at the paper's b = 16: H·b/8 = 4096·2 = 8192.
+  const comm::WireCodec fp16acct{comm::WireDtype::kFp16Accounted};
+  EXPECT_EQ(fp16acct.row_bytes(mixtral.model_dim), 8192u);
 
   auto grit = model::ModelConfig::gritlm_8x7b_shape();
   EXPECT_EQ(grit.num_layers, mixtral.num_layers);

@@ -306,5 +306,34 @@ TEST(WireCodec, ApplyMatchesQblockRoundtrip) {
   }
 }
 
+TEST(WireCodec, RowBytesIsTheWireSizeOfOneTokenRow) {
+  // The one formula for b: row_bytes(H) is exactly what the meter charges
+  // for a stamped 1×H dispatch payload, header excluded.
+  const std::vector<comm::WireCodec> codecs = {
+      {comm::WireDtype::kFp32, 0},
+      {comm::WireDtype::kFp16Accounted, 0},
+      {comm::WireDtype::kFp16, 0},
+      {comm::WireDtype::kInt8, 32},
+      {comm::WireDtype::kInt8, 64}};
+  Rng rng(43);
+  for (const comm::WireCodec& codec : codecs) {
+    for (const std::size_t h : {1u, 16u, 48u, 100u, 4096u}) {
+      comm::Message msg;
+      msg.type = comm::MessageType::kExpertForward;
+      msg.payload = codec.apply(ops::randn({1, h}, rng));
+      codec.stamp(msg);
+      EXPECT_EQ(codec.row_bytes(h),
+                msg.wire_size() - comm::Message::kHeaderBytes)
+          << comm::wire_dtype_name(codec.dtype) << " block " << codec.block
+          << " H " << h;
+    }
+  }
+  // Spelled out at H = 100: 4·H, 2·H, 2·H, H + 4·⌈H/32⌉, H + 4·⌈H/64⌉.
+  const std::vector<std::size_t> want = {400, 200, 200, 116, 108};
+  for (std::size_t i = 0; i < codecs.size(); ++i) {
+    EXPECT_EQ(codecs[i].row_bytes(100), want[i]) << i;
+  }
+}
+
 }  // namespace
 }  // namespace vela

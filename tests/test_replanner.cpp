@@ -17,6 +17,9 @@ model::ModelConfig shape() {
   return cfg;
 }
 
+// The paper's b = 16 (8192 B per Mixtral token row).
+const comm::WireCodec kPaperWire{comm::WireDtype::kFp16Accounted};
+
 cluster::ClusterTopology topo() {
   return cluster::ClusterTopology(cluster::ClusterConfig::paper_testbed());
 }
@@ -34,7 +37,8 @@ moe::SyntheticRouter make_router(const moe::PlantedRouting* routing,
 TEST(Replanner, WindowedProbabilityMatchesObservedCounts) {
   auto cfg = shape();
   auto topology = topo();
-  core::Replanner replanner({10, 4, 0.0, 1.34}, cfg, &topology, 256.0);
+  core::Replanner replanner({10, 4, 0.0, 1.34}, cfg, &topology, 256.0,
+                            kPaperWire);
   auto routing = moe::PlantedRouting::generate(cfg.num_layers,
                                                cfg.num_experts, 8, 1.0, 1);
   auto router = make_router(&routing, 0.05, 2);
@@ -57,7 +61,8 @@ float flat_sum(const Tensor& t) {
 TEST(Replanner, EmptyWindowGivesZeros) {
   auto cfg = shape();
   auto topology = topo();
-  core::Replanner replanner({10, 4, 0.0, 1.34}, cfg, &topology, 256.0);
+  core::Replanner replanner({10, 4, 0.0, 1.34}, cfg, &topology, 256.0,
+                            kPaperWire);
   Tensor p = replanner.windowed_probability();
   EXPECT_EQ(flat_sum(p), 0.0f);
 }
@@ -65,7 +70,8 @@ TEST(Replanner, EmptyWindowGivesZeros) {
 TEST(Replanner, NoReplanBeforeWindowFull) {
   auto cfg = shape();
   auto topology = topo();
-  core::Replanner replanner({2, 8, 0.0, 1.34}, cfg, &topology, 256.0);
+  core::Replanner replanner({2, 8, 0.0, 1.34}, cfg, &topology, 256.0,
+                            kPaperWire);
   auto routing = moe::PlantedRouting::generate(cfg.num_layers,
                                                cfg.num_experts, 8, 1.0, 3);
   auto router = make_router(&routing, 0.05, 4);
@@ -85,7 +91,8 @@ TEST(Replanner, NoReplanBeforeWindowFull) {
 TEST(Replanner, ReplansAwayFromSequentialUnderLocality) {
   auto cfg = shape();
   auto topology = topo();
-  core::Replanner replanner({4, 4, 0.02, 1.34}, cfg, &topology, 256.0);
+  core::Replanner replanner({4, 4, 0.02, 1.34}, cfg, &topology, 256.0,
+                            kPaperWire);
   auto routing = moe::PlantedRouting::generate(cfg.num_layers,
                                                cfg.num_experts, 8, 1.3, 5);
   auto router = make_router(&routing, 0.03, 6);
@@ -111,7 +118,8 @@ TEST(Replanner, HysteresisKeepsGoodPlacement) {
   // so use a comfortably large 15%.
   auto cfg = shape();
   auto topology = topo();
-  core::Replanner replanner({4, 4, 0.15, 1.34}, cfg, &topology, 256.0);
+  core::Replanner replanner({4, 4, 0.15, 1.34}, cfg, &topology, 256.0,
+                            kPaperWire);
   auto routing = moe::PlantedRouting::generate(cfg.num_layers,
                                                cfg.num_experts, 8, 1.3, 7);
   auto router = make_router(&routing, 0.03, 8);
@@ -139,12 +147,12 @@ TEST(Replanner, HysteresisKeepsGoodPlacement) {
 TEST(Replanner, RejectsBadConfig) {
   auto cfg = shape();
   auto topology = topo();
-  EXPECT_THROW(core::Replanner({0, 4, 0.0, 1.34}, cfg, &topology, 256.0),
-               CheckError);
-  EXPECT_THROW(core::Replanner({4, 0, 0.0, 1.34}, cfg, &topology, 256.0),
-               CheckError);
-  EXPECT_THROW(core::Replanner({4, 4, 0.0, 1.34}, cfg, &topology, 0.0),
-               CheckError);
+  const auto make = [&](core::ReplanConfig rc, double tokens_per_step) {
+    core::Replanner r(rc, cfg, &topology, tokens_per_step, kPaperWire);
+  };
+  EXPECT_THROW(make({0, 4, 0.0, 1.34}, 256.0), CheckError);
+  EXPECT_THROW(make({4, 0, 0.0, 1.34}, 256.0), CheckError);
+  EXPECT_THROW(make({4, 4, 0.0, 1.34}, 0.0), CheckError);
 }
 
 }  // namespace
